@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from .graphs import GraphError, MetrizedGraph, PMGraph
-from .network import (Network, build_laplacian, network_for, pseudo_inverse)
+from .network import Network, network_for
 from .scalars import RATIONAL, REL_TOL, Scalar, agree, format_scalar
 
 TAU_METHODS = ("edges", "laplacian", "crossterm", "contraction")
@@ -47,6 +47,19 @@ class CrossValidationError(AssertionError):
 # shared circuit sums
 
 
+def _memoized(fn):
+    """Keep ``fn(net, *args)`` in ``net.sums``, so that every formula that
+    reads the same sum of one network computes it once."""
+    @wraps(fn)
+    def cached(net: Network, *args):
+        key = (fn.__name__, *args)
+        if key not in net.sums:
+            net.sums[key] = fn(net, *args)
+        return net.sums[key]
+    return cached
+
+
+@_memoized
 def _sum_lr(net: Network) -> Scalar:
     """sum of L_i R_i / (L_i + R_i); a bridge contributes its length L_i."""
     total = Fraction(0)
@@ -61,6 +74,7 @@ def _sum_lr(net: Network) -> Scalar:
     return total
 
 
+@_memoized
 def _rc_sum(net: Network, p: str) -> Scalar:
     """B_p = sum of L_i r_c(i, p) / (L_i + R_i) over all edges (bridgeless)."""
     total = Fraction(0)
@@ -70,6 +84,7 @@ def _rc_sum(net: Network, p: str) -> Scalar:
     return total
 
 
+@_memoized
 def _ab_rc_sum(net: Network, p: str) -> Scalar:
     """A_p = sum of (r_a r_b + R_i r_c) / (L_i + R_i) over all edges."""
     total = Fraction(0)
@@ -79,20 +94,31 @@ def _ab_rc_sum(net: Network, p: str) -> Scalar:
     return total
 
 
-@lru_cache(maxsize=128)
-def _contraction_rc_sums(graph: MetrizedGraph) -> tuple[Scalar, ...]:
-    """For each edge i, the r_c sum of the contracted graph at the merged
-    vertex: sum over edges j of the contraction of L_j r_c(j, merged) /
-    (L_j + R_j). The contraction is normalized first so its vertex set stays
-    optimal; the sum itself does not depend on that refinement.
+def _contraction_rc_sums(net: Network) -> tuple[Scalar, ...]:
+    """For each edge i = (u, v), the r_c sum of the graph with edge i
+    contracted, at the merged vertex u: sum over edges j of the contraction
+    of L_j r_c(j, u) / (L_j + R_j).
+
+    Each contraction's network is the short-circuit rank-one update of
+    ``net`` (``Network.contracted``), O(V^2) per edge and no inversion. The
+    contraction is not normalized: the sum does not depend on how the
+    vertex set is refined, and the parallel edges a contraction may create
+    are ordinary circuit data (the tests compare it with the normalized,
+    re-inverted contraction). Needs a bridgeless graph without self-loops.
     """
-    sums = []
-    for i, e in enumerate(graph.edges):
-        merged = e.u
-        contracted = graph.contract_edge(i).normalized()
-        net = network_for(contracted)
-        sums.append(_rc_sum(net, merged))
-    return tuple(sums)
+    return tuple(_rc_sum(net.contracted(i), e.u)
+                 for i, e in enumerate(net.graph.edges))
+
+
+@_memoized
+def _contraction_sum(net: Network) -> Scalar:
+    """sum over edges i of R_i / (L_i + R_i) times the r_c sum of the
+    contraction of edge i, the term shared by the contraction formulas."""
+    total = Fraction(0)
+    for i, (e, inner) in enumerate(zip(net.graph.edges, _contraction_rc_sums(net))):
+        r = net.edge_resistance(i)
+        total = total + r / (e.length + r) * inner
+    return total
 
 
 def _check_bridgeless(graph: MetrizedGraph, what: str) -> None:
@@ -144,14 +170,14 @@ def tau_edges(graph: MetrizedGraph, base: str | None = None) -> Scalar:
 def tau_laplacian(graph: MetrizedGraph) -> Scalar:
     """Pseudo-inverse formula on the normalized (optimal) vertex set."""
     h = graph.normalized()
-    lap = build_laplacian(h)
-    lp = pseudo_inverse(lap).rows
+    net = network_for(h)
+    lp = net.lplus
     index = h.vertex_index
     v = h.num_vertices
     total = Fraction(0)
     for e in h.edges:
         a, b = index[e.u], index[e.v]
-        r = lp[a][a] - 2 * lp[a][b] + lp[b][b]
+        r = net.r[a][b]
         total = (total
                  + (r - e.length) ** 2 / (12 * e.length)
                  + (lp[a][a] - lp[b][b]) ** 2 / (4 * e.length))
@@ -189,14 +215,9 @@ def tau_contraction(graph: MetrizedGraph) -> Scalar:
         w = h.valences[q] - 2
         if w:
             middle = middle + w * _ab_rc_sum(net, q)
-    inner = _contraction_rc_sums(h)
-    edge_sum = Fraction(0)
-    for i, e in enumerate(h.edges):
-        r = net.edge_resistance(i)
-        edge_sum = edge_sum + r / (e.length + r) * inner[i]
     return (h.total_length() / 12
             - middle / (6 * (v - 2))
-            + edge_sum / (3 * (v - 2)))
+            + _contraction_sum(net) / (3 * (v - 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +243,7 @@ def theta_definition(pg: PMGraph) -> Scalar:
     weight zero, so they change nothing."""
     h = pg.normalized()
     g = h.graph
-    lp = pseudo_inverse(build_laplacian(g)).rows
+    r = network_for(g).r
     weights = [h.canonical_weight(p) for p in g.vertices]
     n = g.num_vertices
     total = Fraction(0)
@@ -234,7 +255,7 @@ def theta_definition(pg: PMGraph) -> Scalar:
             wb = weights[b]
             if not wb:
                 continue
-            total = total + wa * wb * (lp[a][a] - 2 * lp[a][b] + lp[b][b])
+            total = total + wa * wb * r[a][b]
     return total
 
 
@@ -282,11 +303,7 @@ def _theta_contraction(pg: PMGraph, tau_value, fourth: bool) -> Scalar:
     net = network_for(h)
     g = h.genus()
     ell = h.total_length()
-    inner = _contraction_rc_sums(h)
-    contraction_sum = Fraction(0)
-    for i, e in enumerate(h.edges):
-        r = net.edge_resistance(i)
-        contraction_sum = contraction_sum + r / (e.length + r) * inner[i]
+    contraction_sum = _contraction_sum(net)
     sum_lr = _sum_lr(net)
     if fourth:
         total = (Fraction(g - 3, 2) * ell - 6 * (g - 3) * tau_value
@@ -376,13 +393,8 @@ def lambda_invariant(pg: PMGraph, route: str = "cor",
             raise GraphError(f"{name} needs >= 3 vertices")
         net = network_for(h)
         g = h.genus()
-        tau_value = tau_edges(h)
         sum_lr = _sum_lr(net)
-        inner = _contraction_rc_sums(h)
-        contraction_sum = Fraction(0)
-        for i, e in enumerate(h.edges):
-            r = net.edge_resistance(i)
-            contraction_sum = contraction_sum + r / (e.length + r) * inner[i]
+        contraction_sum = _contraction_sum(net)
         if route == "second":
             total = (Fraction(3 * g + 3, 8 * g + 4) * tau_value
                      + Fraction(3 * g - 1, 16 * (2 * g + 1)) * ell
@@ -586,8 +598,8 @@ def invariant_report(pg: PMGraph) -> InvariantReport:
     if bridgeless:
         lambda_routes["prop_lambda"] = lambda_invariant(pg, "prop_lambda", tau_value)
         if pg.is_simple_polarization and normalized.num_vertices >= 3:
-            lambda_routes["second"] = lambda_invariant(pg, "second")
-            lambda_routes["second2"] = lambda_invariant(pg, "second2")
+            lambda_routes["second"] = lambda_invariant(pg, "second", tau_value)
+            lambda_routes["second2"] = lambda_invariant(pg, "second2", tau_value)
     _require_agreement("lambda", lambda_routes, exact)
     lam = lambda_routes["cor"]
 

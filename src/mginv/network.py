@@ -12,8 +12,15 @@ per-edge circuit data needed by the invariant formulas lives in the graph
 with one edge's interior deleted; instead of re-inverting for every edge,
 ``Network`` gets those resistances from a rank-one update of the original
 pseudo-inverse, so one inversion per graph covers every (edge, base-vertex)
-pair. Self-loops and parallel edges are handled by merging conductances, so
-the public resistance/voltage functions accept any metrized graph.
+pair. Contracting an edge is the opposite limit of the same update: shorting
+its endpoints (infinite conductance) gives ``Network.contracted`` in O(V^2),
+so the contraction formulas need no inversion beyond the parent's either.
+Self-loops and parallel edges are handled by merging conductances, so the
+public resistance/voltage functions accept any metrized graph.
+
+``network_for`` memoizes one ``Network`` per graph and backend: a float
+graph and its rational twin compare and hash equal, so the backend is part
+of the key.
 
 An independent spanning-tree oracle (weighted matrix-tree / 2-forest
 identity, enumerated exhaustively) cross-checks the linear algebra.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .graphs import GraphError, MetrizedGraph
@@ -161,14 +168,14 @@ class Network:
 
     Conductances of parallel edges are merged and self-loops dropped when
     building the matrix, which leaves every vertex-to-vertex resistance
-    unchanged, so any metrized graph is accepted.
+    unchanged, so any metrized graph is accepted. ``sums`` holds scalar
+    sums that the invariant formulas derive from the network, keyed by
+    formula and base vertex, so each is computed once per network.
     """
 
     def __init__(self, graph: MetrizedGraph):
-        self.graph = graph
         n = graph.num_vertices
-        self._idx = graph.vertex_index
-        index = self._idx
+        index = graph.vertex_index
         rows = [[Fraction(0)] * n for _ in range(n)]
         for e in graph.edges:
             if e.is_loop:
@@ -181,18 +188,65 @@ class Network:
             rows[b][b] = rows[b][b] + c
         jv = Fraction(1, n)
         if n == 1:
-            self.lplus = [[Fraction(0)]]
+            lplus = [[Fraction(0)]]
         else:
             shifted = [[x + jv for x in row] for row in rows]
             try:
                 inv = invert_matrix(shifted)
             except GraphError as exc:
                 raise GraphError("disconnected input") from exc
-            self.lplus = [[x - jv for x in row] for row in inv]
+            lplus = [[x - jv for x in row] for row in inv]
+        self._setup(graph, lplus)
+
+    def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]]) -> None:
+        self.graph = graph
+        self._idx = graph.vertex_index
+        self.lplus = lplus
+        n = len(lplus)
+        r = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                r[i][j] = r[j][i] = lplus[i][i] - 2 * lplus[i][j] + lplus[j][j]
+        self.r = r
+        self.sums: dict[tuple, Scalar] = {}
+
+    @cached_property
+    def bridges(self) -> frozenset[int]:
+        return self.graph.structure.bridges
+
+    def contracted(self, i: int) -> Network:
+        """Network of ``graph.contract_edge(i)``, without a new inversion.
+
+        Contracting edge i = (u, v) shorts u to v, the infinite-conductance
+        limit of the Sherman-Morrison update for a resistor added between
+        them: with d = L+ (e_u - e_v), the matrix L+ - d d^T / r(u, v) has
+        equal u and v columns, and dropping v leaves a generalized inverse
+        of the contracted Laplacian. It may differ from the pseudo-inverse by
+        a gauge term, which no resistance or circuit quantity sees, since
+        each is a difference of entries. A bridge of the graph other than
+        edge i stays a bridge, and no new one appears.
+        """
+        e = self.graph.edges[i]
+        if e.is_loop:
+            raise GraphError(f"edge {i} is a self-loop; normalize first")
+        graph = self.graph.contract_edge(i)
+        iu, iv = self._idx[e.u], self._idx[e.v]
         lp = self.lplus
-        self.r = [[lp[i][i] - 2 * lp[i][j] + lp[j][j] for j in range(n)]
-                  for i in range(n)]
-        self.bridges = graph.structure.bridges
+        r_uv = self.r[iu][iv]
+        d = [row[iu] - row[iv] for row in lp]
+        scaled = [x / r_uv for x in d]
+        keep = [k for k in range(len(lp)) if k != iv]
+        m = len(keep)
+        lplus = [[None] * m for _ in range(m)]
+        for a in range(m):
+            ka = keep[a]
+            for b in range(a, m):
+                kb = keep[b]
+                lplus[a][b] = lplus[b][a] = lp[ka][kb] - d[ka] * scaled[kb]
+        net = Network.__new__(Network)
+        net._setup(graph, lplus)
+        net.bridges = frozenset(j - (j > i) for j in self.bridges if j != i)
+        return net
 
     # -- whole-graph resistances ----------------------------------------
 
@@ -244,8 +298,13 @@ class Network:
         return EdgeCircuitData(i, p, False, r_i=r_uv, r_a=r_a, r_b=r_b, r_c=r_c)
 
 
-@lru_cache(maxsize=256)
 def network_for(graph: MetrizedGraph) -> Network:
+    """The memoized ``Network`` of ``graph`` on its own backend."""
+    return _network(graph, graph.backend)
+
+
+@lru_cache(maxsize=256)
+def _network(graph: MetrizedGraph, backend: str) -> Network:
     return Network(graph)
 
 

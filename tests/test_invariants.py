@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
-from mginv.invariants import (CrossValidationError, a_invariant, epsilon,
+from mginv.invariants import (CrossValidationError, _contraction_rc_sums,
+                              _rc_sum, a_invariant, epsilon,
                               genus_identity_residual, identity_checks,
                               invariant_report, lambda_invariant, phi,
                               quick_report, tau, theta, xy)
-from mginv.network import Network
+from mginv.network import Network, network_for
 from tests.conftest import random_lengths, random_simple_bridgeless
 
 F = Fraction
@@ -38,6 +39,66 @@ def tau_canonical_measure(graph, base):
                     / (ln + cd.r_i) + ln * cd.r_c)
         edge_sum += integral / (ln + cd.r_i)
     return -vertex_sum / 4 + edge_sum / 2
+
+
+def reinverted_rc_sums(h):
+    """Contraction sums the slow way, kept as the oracle: each contraction
+    normalized and inverted afresh."""
+    return tuple(_rc_sum(Network(h.contract_edge(i).normalized()), e.u)
+                 for i, e in enumerate(h.edges))
+
+
+CONTRACTION_CASES = {
+    "K4": lambda: fam.complete_equal(4),
+    "K5": lambda: fam.complete_equal(5, F(7, 3)),
+    "C4,2": lambda: fam.necklace(4, 2),
+    "C4,3": lambda: fam.necklace(4, 3, F(5)),
+    "genus3_beta": lambda: fam.genus3_beta(*(F(k, 7) for k in range(1, 7))),
+    "genus3_gamma": lambda: fam.genus3_gamma(*(F(k, 5) for k in (1, 3, 2, 4, 6, 5))),
+    "polarized": lambda: PMGraph.of(fam.necklace(3, 2, F(2)).graph, {"p1": 1}),
+}
+
+
+class TestContractionSums:
+    @pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+    def test_match_reinversion(self, name):
+        h = CONTRACTION_CASES[name]().graph.normalized()
+        assert _contraction_rc_sums(network_for(h)) == reinverted_rc_sums(h)
+        hf = h.as_float()
+        fast = _contraction_rc_sums(network_for(hf))
+        assert all(isinstance(x, float) for x in fast)
+        assert fast == pytest.approx(reinverted_rc_sums(hf), rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+    def test_refinement_independent(self, name):
+        # the fast path sums over the contraction as it comes, parallel
+        # edges included; the oracle normalizes it first
+        h = CONTRACTION_CASES[name]().graph.normalized()
+        for i, e in enumerate(h.edges):
+            c = h.contract_edge(i)
+            assert _rc_sum(Network(c), e.u) == _rc_sum(Network(c.normalized()), e.u)
+
+    def test_random_graphs(self, rng):
+        for _ in range(4):
+            h = random_simple_bridgeless(rng).graph
+            assert _contraction_rc_sums(network_for(h)) == reinverted_rc_sums(h)
+
+    def test_report_inverts_once_per_vertex_set(self, monkeypatch):
+        import mginv.network as network
+        sizes = []
+        invert = network.invert_matrix
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return invert(rows)
+
+        monkeypatch.setattr(network, "invert_matrix", counted)
+        network._network.cache_clear()
+        invariant_report(fam.complete_equal(6, F(11, 13)))
+        assert sizes == [6]
+        sizes.clear()
+        invariant_report(fam.necklace(5, 2, F(11, 13)))  # and its normalization
+        assert sizes == [5, 10]
 
 
 class TestTau:
@@ -183,6 +244,15 @@ class TestDerivedInvariants:
                     for route in ("cor", "prop_lambda", "second", "second2")}
             assert len(vals) == 1
 
+    def test_lambda_contraction_routes_use_given_tau(self):
+        pg = fam.complete_equal(4)
+        g = pg.graph.genus()
+        t = tau(pg.graph)
+        for route, weight in (("second", F(3 * g + 3, 8 * g + 4)),
+                              ("second2", F(3 * g + 3, 4 * g + 2))):
+            shifted = lambda_invariant(pg, route, t + 1)
+            assert shifted - lambda_invariant(pg, route, t) == weight, route
+
     def test_routes_with_polarization(self, rng):
         g = fam.complete_equal(4).graph
         pg = PMGraph.of(g, {"p1": 2, "p3": 1})
@@ -292,6 +362,13 @@ class TestReport:
         rep = invariant_report(fam.complete_equal(4).as_float())
         assert rep.backend == "float"
         assert rep.tau == pytest.approx(5 / 96, rel=1e-12)
+
+    def test_float_twin_does_not_leak_into_rational_report(self):
+        pg = fam.banana([F(1, 2), F(1, 2)])
+        assert isinstance(quick_report(pg.as_float()).tau, float)
+        rep = quick_report(pg)
+        assert rep.backend == "rational"
+        assert rep.tau == F(1, 12) and isinstance(rep.tau, Fraction)
 
     def test_json_round_fields(self):
         rep = invariant_report(fam.complete_equal(4))

@@ -7,8 +7,8 @@ import pytest
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
 from mginv.network import (Network, build_laplacian, edge_circuit_data,
-                           matmul, pseudo_inverse, resistance_matrix,
-                           resistance_oracle, voltage)
+                           matmul, network_for, pseudo_inverse,
+                           resistance_matrix, resistance_oracle, voltage)
 from tests.conftest import random_simple_bridgeless
 
 F = Fraction
@@ -296,3 +296,47 @@ class TestGenusIdentity:
                 s2 += r / (e.length + r)
             assert s1 == g.genus()
             assert s2 == g.num_vertices - 1
+
+
+class TestContracted:
+    def test_matches_reinversion(self, rng):
+        for _ in range(4):
+            g = random_simple_bridgeless(rng).graph
+            net = Network(g)
+            for i in range(g.num_edges):
+                short = net.contracted(i)
+                ref = Network(g.contract_edge(i))
+                assert short.graph == ref.graph
+                assert short.r == ref.r
+                for j in range(short.graph.num_edges):
+                    assert short.edge_resistance(j) == ref.edge_resistance(j)
+
+    def test_bridges_carried_over(self):
+        # two triangles joined by the bridge (a, x), edge 3
+        g = MetrizedGraph.build(
+            "abcxyz", [("a", "b", F(1)), ("b", "c", F(2)), ("c", "a", F(3)),
+                       ("a", "x", F(1, 2)),
+                       ("x", "y", F(1)), ("y", "z", F(1)), ("z", "x", F(5))])
+        net = Network(g)
+        for i in range(g.num_edges):
+            short = net.contracted(i)
+            assert short.bridges == g.contract_edge(i).structure.bridges
+            assert short.r == Network(g.contract_edge(i)).r
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(GraphError, match="self-loop"):
+            Network(fam.bouquet([F(1), F(2)]).graph).contracted(0)
+
+
+class TestNetworkCache:
+    def test_float_and_rational_twins_kept_apart(self):
+        # the twins compare and hash equal, so a cache keyed on the graph
+        # alone hands one backend's network to the other
+        for first, lengths in (("float", [F(1, 2), F(1, 2)]),
+                               ("rational", [F(1, 4), F(3, 4)])):
+            g = fam.banana(lengths).graph
+            twins = {"rational": g, "float": g.as_float()}
+            order = [first] + [b for b in twins if b != first]
+            for backend in order:
+                r = network_for(twins[backend]).resistance("p", "q")
+                assert isinstance(r, float) == (backend == "float"), backend
