@@ -3,8 +3,7 @@
 from .scalars import FLOAT, RATIONAL, Scalar, Surd79, format_scalar, parse_scalar
 from .graphs import (Edge, GraphError, MetrizedGraph, PMGraph, Structure,
                      one_point_join, pm_graph_from_json, pm_graph_to_json_dict)
-from .network import (EdgeCircuitData, Laplacian, Network, PseudoInverse,
-                      build_laplacian, edge_circuit_data, pseudo_inverse,
+from .network import (EdgeCircuitData, Network, edge_circuit_data, network_for,
                       resistance_matrix, resistance_oracle, voltage)
 from .invariants import (CrossValidationError, InvariantReport,
                          genus_identity_residual, a_invariant, epsilon,

@@ -46,13 +46,6 @@ class Edge:
     def is_loop(self) -> bool:
         return self.u == self.v
 
-    def other(self, w: str) -> str:
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise GraphError(f"{w} is not an endpoint of ({self.u},{self.v})")
-
     def ends(self) -> tuple[str, str]:
         return (self.u, self.v)
 
@@ -122,35 +115,14 @@ class MetrizedGraph:
             total = total + e.length
         return total
 
-    def valence(self, p: str) -> int:
-        """Number of edge directions at ``p``; a self-loop counts twice."""
-        if p not in self.vertex_index:
-            raise GraphError(f"unknown vertex {p!r}")
-        deg = 0
-        for e in self.edges:
-            if e.u == p:
-                deg += 1
-            if e.v == p:
-                deg += 1
-        return deg
-
     @cached_property
     def valences(self) -> dict[str, int]:
+        """Number of edge directions at each vertex; a self-loop counts twice."""
         deg = {p: 0 for p in self.vertices}
         for e in self.edges:
             deg[e.u] += 1
             deg[e.v] += 1
         return deg
-
-    @cached_property
-    def incident(self) -> dict[str, tuple[int, ...]]:
-        """Edge indices incident to each vertex (loops listed once)."""
-        inc: dict[str, list[int]] = {p: [] for p in self.vertices}
-        for i, e in enumerate(self.edges):
-            inc[e.u].append(i)
-            if not e.is_loop:
-                inc[e.v].append(i)
-        return {p: tuple(ix) for p, ix in inc.items()}
 
     @property
     def is_simple(self) -> bool:

@@ -121,6 +121,16 @@ def _contraction_sum(net: Network) -> Scalar:
     return total
 
 
+def _valence_weighted(net: Network, pivot: int, f) -> Scalar:
+    """sum over vertices q of (val(q) - pivot) f(net, q); f is not called
+    where the weight is zero."""
+    total = Fraction(0)
+    for q, val in net.graph.valences.items():
+        if val != pivot:
+            total = total + (val - pivot) * f(net, q)
+    return total
+
+
 def _check_bridgeless(graph: MetrizedGraph, what: str) -> None:
     if graph.structure.bridges:
         raise GraphError(f"{what} requires a bridgeless graph")
@@ -210,13 +220,8 @@ def tau_contraction(graph: MetrizedGraph) -> Scalar:
     if v < 3:
         raise GraphError("tau method 'contraction' needs >= 3 vertices")
     net = network_for(h)
-    middle = Fraction(0)
-    for q in h.vertices:
-        w = h.valences[q] - 2
-        if w:
-            middle = middle + w * _ab_rc_sum(net, q)
     return (h.total_length() / 12
-            - middle / (6 * (v - 2))
+            - _valence_weighted(net, 2, _ab_rc_sum) / (6 * (v - 2))
             + _contraction_sum(net) / (3 * (v - 2)))
 
 
@@ -271,14 +276,9 @@ def theta_second(pg: PMGraph, tau_value: Scalar | None = None) -> Scalar:
     g = graph.genus()
     v = graph.num_vertices
     ell = graph.total_length()
-    total = (2 * g - 2) * _sum_lr(net) + 12 * v * tau_value - v * ell
-    for q in graph.vertices:
-        val = graph.valences[q]
-        if val != 2:
-            total = total + 2 * (val - 2) * _ab_rc_sum(net, q)
-        if val != 4:
-            total = total + 2 * (val - 4) * _rc_sum(net, q)
-    return total
+    return ((2 * g - 2) * _sum_lr(net) + 12 * v * tau_value - v * ell
+            + 2 * _valence_weighted(net, 2, _ab_rc_sum)
+            + 2 * _valence_weighted(net, 4, _rc_sum))
 
 
 def theta_third(pg: PMGraph, tau_value: Scalar | None = None) -> Scalar:
@@ -313,11 +313,7 @@ def _theta_contraction(pg: PMGraph, tau_value, fourth: bool) -> Scalar:
         total = (-2 * ell + 24 * tau_value
                  + (2 * g - 2) * sum_lr + 4 * contraction_sum)
         pivot = 4
-    for q in h.vertices:
-        w = h.valences[q] - pivot
-        if w:
-            total = total + 2 * w * _rc_sum(net, q)
-    return total
+    return total + 2 * _valence_weighted(net, pivot, _rc_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +403,7 @@ def lambda_invariant(pg: PMGraph, route: str = "cor",
                      + Fraction(g - 1, 8 * g + 4) * sum_lr
                      + contraction_sum / (4 * g + 2))
             pivot = 4
-        for q in h.vertices:
-            w = h.valences[q] - pivot
-            if w:
-                total = total + w * _rc_sum(net, q) / (8 * g + 4)
-        return total
+        return total + _valence_weighted(net, pivot, _rc_sum) / (8 * g + 4)
     raise GraphError(f"unknown lambda route {route!r}; pick from {LAMBDA_ROUTES}")
 
 
@@ -667,15 +659,14 @@ def quick_report(pg: PMGraph) -> InvariantReport:
     )
 
 
-def identity_checks(pg: PMGraph) -> list[tuple[str, Scalar]]:
+def identity_checks(pg: PMGraph, report: InvariantReport) -> list[tuple[str, Scalar]]:
     """Residuals of the structural identities; all must vanish.
 
-    Returns (name, residual) pairs: the genus identity, the two x/y
-    identities, and the two defining relations tying phi and lambda to
-    epsilon and the a-invariant.
+    ``report`` is the ``invariant_report`` of ``pg``. Returns (name,
+    residual) pairs: the genus identity, the two x/y identities, and the two
+    defining relations tying phi and lambda to epsilon and the a-invariant.
     """
     graph = pg.graph
-    report = invariant_report(pg)
     out = [("genus_identity", genus_identity_residual(graph))]
     net = network_for(graph)
     out.append(("xy_tau", report.tau

@@ -1,11 +1,15 @@
 """Electrical-network computations: Laplacian, pseudo-inverse, resistances.
 
 A metrized graph is a resistive circuit in which each edge is a resistor
-equal to its length. The discrete Laplacian of a graph on an optimal vertex
-set (no self-loops, no parallel edges) has off-diagonal entries -1/L_k for
-an edge of length L_k and zero row sums; its Moore-Penrose pseudo-inverse is
-computed as (L + J/v)^-1 - J/v, with Gauss-Jordan elimination run exactly on
-the rational backend and with partial pivoting on floats.
+equal to its length. ``Network`` is the one place where the discrete
+Laplacian is assembled and inverted. The Laplacian has off-diagonal entries
+minus the summed conductances 1/L_k of the edges between two vertices and
+zero row sums; self-loops carry no current and are skipped, and parallel
+edges merge their conductances, which leaves every vertex-to-vertex
+resistance unchanged, so any metrized graph is accepted. Its Moore-Penrose
+pseudo-inverse is computed as (L + J/v)^-1 - J/v, with Gauss-Jordan
+elimination run exactly on the rational backend and with partial pivoting
+on floats.
 
 Effective resistances between vertices come from the pseudo-inverse. The
 per-edge circuit data needed by the invariant formulas lives in the graph
@@ -15,8 +19,6 @@ pseudo-inverse, so one inversion per graph covers every (edge, base-vertex)
 pair. Contracting an edge is the opposite limit of the same update: shorting
 its endpoints (infinite conductance) gives ``Network.contracted`` in O(V^2),
 so the contraction formulas need no inversion beyond the parent's either.
-Self-loops and parallel edges are handled by merging conductances, so the
-public resistance/voltage functions accept any metrized graph.
 
 ``network_for`` memoizes one ``Network`` per graph and backend: a float
 graph and its rational twin compare and hash equal, so the backend is part
@@ -40,24 +42,6 @@ from .scalars import Scalar
 ORACLE_EDGE_CAP = 14
 
 Matrix = tuple[tuple[Scalar, ...], ...]
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    vertices: tuple[str, ...]
-    rows: Matrix
-
-
-@dataclass(frozen=True)
-class PseudoInverse:
-    vertices: tuple[str, ...]
-    rows: Matrix
-
-    def trace(self) -> Scalar:
-        t = Fraction(0)
-        for i in range(len(self.rows)):
-            t = t + self.rows[i][i]
-        return t
 
 
 def _is_float_matrix(rows) -> bool:
@@ -107,38 +91,22 @@ def matmul(a, b) -> list[list[Scalar]]:
     return out
 
 
-def build_laplacian(graph: MetrizedGraph) -> Laplacian:
-    """Discrete Laplacian of a graph with an optimal vertex set.
-
-    Requires no self-loops and no parallel edges; callers normalize first.
-    """
-    if not graph.is_simple:
-        raise GraphError("discrete Laplacian needs an optimal vertex set "
-                         "(no self-loops, no parallel edges); normalize first")
+def _laplacian_rows(graph: MetrizedGraph) -> list[list[Scalar]]:
+    """Discrete Laplacian on ``graph.vertices``: loops skipped, parallel
+    conductances summed."""
     n = graph.num_vertices
     index = graph.vertex_index
     rows = [[Fraction(0)] * n for _ in range(n)]
     for e in graph.edges:
+        if e.is_loop:
+            continue
         a, b = index[e.u], index[e.v]
         c = 1 / e.length
         rows[a][b] = rows[a][b] - c
         rows[b][a] = rows[b][a] - c
         rows[a][a] = rows[a][a] + c
         rows[b][b] = rows[b][b] + c
-    return Laplacian(graph.vertices, tuple(tuple(r) for r in rows))
-
-
-def pseudo_inverse(lap: Laplacian) -> PseudoInverse:
-    """Moore-Penrose pseudo-inverse via (L + J/v)^-1 - J/v."""
-    n = len(lap.vertices)
-    jv = Fraction(1, n)
-    shifted = [[x + jv for x in row] for row in lap.rows]
-    try:
-        inv = invert_matrix(shifted)
-    except GraphError as exc:
-        raise GraphError("L + J/v is singular; the graph is disconnected") from exc
-    rows = tuple(tuple(x - jv for x in row) for row in inv)
-    return PseudoInverse(lap.vertices, rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -166,26 +134,17 @@ class EdgeCircuitData:
 class Network:
     """Per-graph memo of Laplacian data; computed once, then read-only.
 
-    Conductances of parallel edges are merged and self-loops dropped when
-    building the matrix, which leaves every vertex-to-vertex resistance
-    unchanged, so any metrized graph is accepted. ``sums`` holds scalar
-    sums that the invariant formulas derive from the network, keyed by
-    formula and base vertex, so each is computed once per network.
+    ``lplus`` is the Moore-Penrose pseudo-inverse of ``laplacian`` (on a
+    ``contracted`` network, a generalized inverse with the same resistances)
+    and ``r`` the matrix of effective resistances, all aligned with
+    ``graph.vertices``. ``sums`` holds scalar sums that the invariant
+    formulas derive from the network, keyed by formula and base vertex, so
+    each is computed once per network.
     """
 
     def __init__(self, graph: MetrizedGraph):
-        n = graph.num_vertices
-        index = graph.vertex_index
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for e in graph.edges:
-            if e.is_loop:
-                continue
-            a, b = index[e.u], index[e.v]
-            c = 1 / e.length
-            rows[a][b] = rows[a][b] - c
-            rows[b][a] = rows[b][a] - c
-            rows[a][a] = rows[a][a] + c
-            rows[b][b] = rows[b][b] + c
+        rows = _laplacian_rows(graph)
+        n = len(rows)
         jv = Fraction(1, n)
         if n == 1:
             lplus = [[Fraction(0)]]
@@ -209,6 +168,12 @@ class Network:
                 r[i][j] = r[j][i] = lplus[i][i] - 2 * lplus[i][j] + lplus[j][j]
         self.r = r
         self.sums: dict[tuple, Scalar] = {}
+
+    @property
+    def laplacian(self) -> list[list[Scalar]]:
+        """The discrete Laplacian of ``graph``; rebuilt on each access, not
+        kept on cached networks."""
+        return _laplacian_rows(self.graph)
 
     @cached_property
     def bridges(self) -> frozenset[int]:
@@ -289,9 +254,19 @@ class Network:
             comp = self.graph.delete_edge(i)[0]  # side of e.u
             side = "u" if p in comp.vertex_index else "v"
             return EdgeCircuitData(i, p, True, side=side)
-        r_pu = self.deleted_resistance(i, p, e.u)
-        r_pv = self.deleted_resistance(i, p, e.v)
-        r_uv = self.deleted_resistance(i, e.u, e.v)
+        ip, iu, iv = self._idx[p], self._idx[e.u], self._idx[e.v]
+        r = self.r
+        r_pu, r_pv, r_uv = r[ip][iu], r[ip][iv], r[iu][iv]
+        if not e.is_loop:
+            # deleted_resistance for the three pairs, sharing d = L+ (e_u - e_v)
+            # and the denominator: r(x, y) gains (d_x - d_y)^2 / (L_i - r(u, v))
+            lp = self.lplus
+            d_p, d_u, d_v = (lp[k][iu] - lp[k][iv] for k in (ip, iu, iv))
+            denom = e.length - r_uv
+            c_pu, c_pv, c_uv = d_p - d_u, d_p - d_v, d_u - d_v
+            r_pu = r_pu + c_pu * c_pu / denom
+            r_pv = r_pv + c_pv * c_pv / denom
+            r_uv = r_uv + c_uv * c_uv / denom
         r_a = (r_pu + r_uv - r_pv) / 2
         r_b = (r_pv + r_uv - r_pu) / 2
         r_c = (r_pu + r_pv - r_uv) / 2

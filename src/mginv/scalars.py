@@ -74,10 +74,6 @@ def format_scalar(x, decimals: int | None = None) -> str:
     return repr(x)
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int, Surd79))
-
-
 def backend_of(values) -> str:
     """Infer the backend from a collection of scalars (mixed input is an error)."""
     kinds = {FLOAT if isinstance(x, float) else RATIONAL for x in values}

@@ -1,15 +1,28 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mginv.families as fam
 from mginv.cli import main
-from mginv.graphs import pm_graph_to_json_dict
+from mginv.graphs import MetrizedGraph, PMGraph, pm_graph_to_json_dict
 
 F = Fraction
 
 K4_JSON = json.dumps(pm_graph_to_json_dict(fam.complete_equal(4)))
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: graphs whose rational CLI output is pinned byte for byte in GOLDEN
+GOLDEN_GRAPHS = {
+    "k4": fam.complete_equal(4),
+    "necklace_4_2": fam.necklace(4, 2),
+    # a self-loop, a parallel pair and q > 0, so the vertex set is refined
+    "mixed": PMGraph.of(MetrizedGraph.build(("a", "b", "c"), [
+        ("a", "a", F(1, 3)), ("a", "b", F(1, 2)), ("a", "b", F(1, 4)),
+        ("b", "c", F(1, 5)), ("c", "a", F(1, 6))]), {"c": 1}),
+}
 
 
 @pytest.fixture
@@ -102,6 +115,41 @@ class TestVerify:
         assert code == 0 and json.loads(out)["ok"]
 
 
+    def test_work_count(self, tmp_path, capsys, monkeypatch):
+        # one inversion per vertex set, and the report is built once and
+        # shared by the identity checks and the bound suite
+        import mginv.cli as cli
+        import mginv.invariants as invariants
+        import mginv.network as network
+
+        sizes, reports = [], []
+        invert, report = network.invert_matrix, invariants.invariant_report
+
+        def counted_invert(rows):
+            sizes.append(len(rows))
+            return invert(rows)
+
+        def counted_report(pg):
+            reports.append(pg)
+            return report(pg)
+
+        monkeypatch.setattr(network, "invert_matrix", counted_invert)
+        monkeypatch.setattr(invariants, "invariant_report", counted_report)
+        monkeypatch.setattr(cli, "invariant_report", counted_report)
+        # K5, and the mixed graph with its 6-vertex normalization
+        for pg, expected in ((fam.complete_equal(5), [5]),
+                             (GOLDEN_GRAPHS["mixed"], [3, 6])):
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(pm_graph_to_json_dict(pg)))
+            network._network.cache_clear()
+            sizes.clear()
+            reports.clear()
+            code, _, _ = run(capsys, "verify", "--graph", str(path))
+            assert code == 0
+            assert sizes == expected
+            assert len(reports) == 1
+
+
 class TestVerifyFailurePath:
     def test_exit_one_on_failed_bound(self, k4_file, capsys, monkeypatch):
         # exercise the exit-code contract by forcing one failed check
@@ -181,3 +229,20 @@ class TestExport:
         r = (outdir / "r.csv").read_text().splitlines()
         assert r[1].split(",")[2] == "1/12"
         assert (outdir / "Lplus.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_golden_output(name, tmp_path, capsys):
+    # rational output of compute, verify and export, byte for byte
+    expected = GOLDEN / name
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(pm_graph_to_json_dict(GOLDEN_GRAPHS[name])))
+    for command in ("compute", "verify"):
+        code, out, _ = run(capsys, command, "--graph", str(path))
+        assert code == 0
+        assert out.encode() == (expected / f"{command}.json").read_bytes(), command
+    outdir = tmp_path / "mats"
+    code, _, _ = run(capsys, "export", "--graph", str(path), "--outdir", str(outdir))
+    assert code == 0
+    for matrix in ("L.csv", "Lplus.csv", "r.csv"):
+        assert (outdir / matrix).read_bytes() == (expected / matrix).read_bytes(), matrix

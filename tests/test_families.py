@@ -44,14 +44,15 @@ class TestGenerators:
     def test_beta_laplacian_pattern(self):
         # row p: diag 1/a + 1/b + 1/c with -1/a, -1/b, -1/c toward q, s, t;
         # row q adds 1/d, 1/e; row s adds 1/f
-        from mginv.network import build_laplacian
+        from mginv.network import network_for
         a, b, c, d, e, f = (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13))
-        lap = build_laplacian(fam.genus3_beta(a, b, c, d, e, f).graph)
-        assert lap.vertices == ("p", "q", "s", "t")
-        assert lap.rows[0] == (1 / a + 1 / b + 1 / c, -1 / a, -1 / b, -1 / c)
-        assert lap.rows[1] == (-1 / a, 1 / a + 1 / d + 1 / e, -1 / d, -1 / e)
-        assert lap.rows[2] == (-1 / b, -1 / d, 1 / b + 1 / d + 1 / f, -1 / f)
-        assert lap.rows[3] == (-1 / c, -1 / e, -1 / f, 1 / c + 1 / e + 1 / f)
+        g = fam.genus3_beta(a, b, c, d, e, f).graph
+        lap = network_for(g).laplacian
+        assert g.vertices == ("p", "q", "s", "t")
+        assert lap[0] == [1 / a + 1 / b + 1 / c, -1 / a, -1 / b, -1 / c]
+        assert lap[1] == [-1 / a, 1 / a + 1 / d + 1 / e, -1 / d, -1 / e]
+        assert lap[2] == [-1 / b, -1 / d, 1 / b + 1 / d + 1 / f, -1 / f]
+        assert lap[3] == [-1 / c, -1 / e, -1 / f, 1 / c + 1 / e + 1 / f]
 
     def test_gamma_is_cubic(self):
         pg = fam.genus3_gamma(*[F(1, 6)] * 6)

@@ -67,9 +67,9 @@ class TestGenusLengthValence:
         assert g.total_length() == 1
 
     def test_valence(self):
-        assert k4().valence("p1") == 3
-        assert circle_loop().valence("p") == 2
-        assert fam.necklace(4, 3).graph.valence("p2") == 6
+        assert k4().valences["p1"] == 3
+        assert circle_loop().valences["p"] == 2
+        assert fam.necklace(4, 3).graph.valences["p2"] == 6
 
     def test_handshake(self, rng):
         from tests.conftest import random_simple_bridgeless
@@ -145,7 +145,7 @@ class TestDeleteContract:
         g = k4()
         merged = g.contract_edge(0)
         u, v = g.edges[0].u, g.edges[0].v
-        assert merged.valence(u) == g.valence(u) + g.valence(v) - 2
+        assert merged.valences[u] == g.valences[u] + g.valences[v] - 2
 
 
 class TestNormalizeSuppress:
@@ -232,8 +232,6 @@ class TestPMGraph:
         g = circle_loop()
         with pytest.raises(GraphError, match="unknown"):
             PMGraph.of(g, {"nope": 1})
-        with pytest.raises(GraphError, match="unknown"):
-            g.valence("nope")
         with pytest.raises(GraphError, match="out of range"):
             g.delete_edge(5)
 

@@ -400,7 +400,7 @@ class TestReport:
     def test_identity_checks_vanish(self, rng):
         for _ in range(3):
             pg = random_simple_bridgeless(rng)
-            for name, residual in identity_checks(pg):
+            for name, residual in identity_checks(pg, invariant_report(pg)):
                 assert residual == 0, name
 
     def test_disagreement_reporting(self):

@@ -6,8 +6,8 @@ import pytest
 
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
-from mginv.network import (Network, build_laplacian, edge_circuit_data,
-                           matmul, network_for, pseudo_inverse,
+from mginv.bounds import SearchConfig, random_pm_graph
+from mginv.network import (Network, edge_circuit_data, matmul, network_for,
                            resistance_matrix, resistance_oracle, voltage)
 from tests.conftest import random_simple_bridgeless
 
@@ -20,74 +20,74 @@ def path2(length=F(2)):
 
 class TestLaplacian:
     def test_path_entries(self):
-        lap = build_laplacian(path2())
-        assert lap.rows == ((F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2)))
+        assert network_for(path2()).laplacian == [[F(1, 2), F(-1, 2)],
+                                                  [F(-1, 2), F(1, 2)]]
 
     def test_k4_entries(self):
         # each vertex meets 3 edges of conductance 6, so diagonal 18,
         # off-diagonal -6
-        lap = build_laplacian(fam.complete_equal(4).graph)
+        lap = network_for(fam.complete_equal(4).graph).laplacian
         for i in range(4):
             for j in range(4):
-                assert lap.rows[i][j] == (F(18) if i == j else F(-6))
+                assert lap[i][j] == (F(18) if i == j else F(-6))
 
     def test_row_sums_zero(self, rng):
         g = random_simple_bridgeless(rng).graph
-        lap = build_laplacian(g)
-        for row in lap.rows:
+        for row in network_for(g).laplacian:
             assert sum(row) == 0
 
-    def test_rejects_loops_and_parallels(self):
-        with pytest.raises(GraphError, match="optimal"):
-            build_laplacian(fam.circle().graph)
-        with pytest.raises(GraphError, match="optimal"):
-            build_laplacian(fam.banana([F(1, 2), F(1, 2)]).graph)
+    def test_merges_parallels_and_skips_loops(self):
+        # two parallel edges of length 1/2 conduct like one of length 1/4;
+        # a self-loop carries no current
+        banana = network_for(fam.banana([F(1, 2), F(1, 2)]).graph)
+        assert banana.laplacian == [[F(4), F(-4)], [F(-4), F(4)]]
+        assert network_for(fam.circle().graph).laplacian == [[F(0)]]
+
+
+def mixed_graph():
+    """A self-loop, a parallel pair and a plain cycle through c."""
+    return MetrizedGraph.build(("a", "b", "c"), [
+        ("a", "a", F(1, 3)), ("a", "b", F(1, 2)), ("a", "b", F(1, 4)),
+        ("b", "c", F(1, 5)), ("c", "a", F(1, 6))])
 
 
 class TestPseudoInverse:
     def test_two_vertex_closed_form(self):
         # (L + J/2)^-1 - J/2 by hand: L + J/2 is the identity here, so
         # L+ = I - J/2 = [[1/2, -1/2], [-1/2, 1/2]]
-        lap = build_laplacian(path2())
-        pinv = pseudo_inverse(lap)
-        assert pinv.rows == ((F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2)))
+        assert network_for(path2()).lplus == [[F(1, 2), F(-1, 2)],
+                                              [F(-1, 2), F(1, 2)]]
 
     def test_moore_penrose_k4(self):
-        lap = build_laplacian(fam.complete_equal(4).graph)
-        pinv = pseudo_inverse(lap)
-        l = [list(r) for r in lap.rows]
-        p = [list(r) for r in pinv.rows]
+        net = network_for(fam.complete_equal(4).graph)
+        l, p = net.laplacian, net.lplus
         assert matmul(matmul(l, p), l) == l
         assert matmul(matmul(p, l), p) == p
 
+    def test_moore_penrose_loops_and_parallels(self):
+        for g in (mixed_graph(), mixed_graph().normalized()):
+            net = network_for(g)
+            l, p = net.laplacian, net.lplus
+            assert matmul(matmul(l, p), l) == l
+            assert matmul(matmul(p, l), p) == p
+
     def test_symmetry_and_row_sums(self, rng):
         g = random_simple_bridgeless(rng).graph.normalized()
-        pinv = pseudo_inverse(build_laplacian(g))
-        n = len(pinv.rows)
+        pinv = network_for(g).lplus
+        n = len(pinv)
         for i in range(n):
-            assert sum(pinv.rows[i]) == 0
+            assert sum(pinv[i]) == 0
             for j in range(n):
-                assert pinv.rows[i][j] == pinv.rows[j][i]
-
-    def test_disconnected_input_signalled(self):
-        # a block-diagonal Laplacian (two components) makes L + J/v singular
-        rows = ((F(1), F(-1), F(0), F(0)),
-                (F(-1), F(1), F(0), F(0)),
-                (F(0), F(0), F(1), F(-1)),
-                (F(0), F(0), F(-1), F(1)))
-        from mginv.network import Laplacian
-        with pytest.raises(GraphError, match="disconnected"):
-            pseudo_inverse(Laplacian(("a", "b", "c", "d"), rows))
+                assert pinv[i][j] == pinv[j][i]
 
     def test_trace_inequality(self, rng):
         # trace(L+) >= (v-1)^2 / trace(L)
         for _ in range(5):
             g = random_simple_bridgeless(rng).graph.normalized()
-            lap = build_laplacian(g)
-            pinv = pseudo_inverse(lap)
+            net = network_for(g)
             v = g.num_vertices
-            tr_l = sum(lap.rows[i][i] for i in range(v))
-            assert pinv.trace() >= F((v - 1) ** 2) / tr_l
+            tr_l = sum(net.laplacian[i][i] for i in range(v))
+            assert sum(net.lplus[i][i] for i in range(v)) >= F((v - 1) ** 2) / tr_l
 
 
 class TestResistance:
@@ -220,6 +220,29 @@ class TestCircuitData:
         assert cd.r_i == 0 and cd.r_a == 0 and cd.r_b == 0
         assert cd.r_c == resistance_matrix(g)[0][1]
 
+    def test_matches_three_deleted_resistances(self, rng):
+        # circuit shares one rank-one update among the three pairs that
+        # deleted_resistance treats one at a time; the values are the same
+        dumbbell = MetrizedGraph.build(
+            ("a", "b"), [("a", "a", F(1)), ("b", "b", F(1)), ("a", "b", F(1, 2))])
+        cfg = SearchConfig(vertices=(2, 6), edges=(3, 10), genus=(1, 5), max_q=2)
+        graphs = [mixed_graph(), dumbbell, fam.necklace(4, 3).graph]
+        graphs += [random_pm_graph(rng, cfg).graph for _ in range(8)]
+        for g in graphs:
+            net = Network(g)
+            for i, e in enumerate(g.edges):
+                if i in net.bridges:
+                    continue
+                for p in g.vertices:
+                    r_pu = net.deleted_resistance(i, p, e.u)
+                    r_pv = net.deleted_resistance(i, p, e.v)
+                    r_uv = net.deleted_resistance(i, e.u, e.v)
+                    cd = net.circuit(i, p)
+                    assert cd.r_i == r_uv
+                    assert cd.r_a == (r_pu + r_uv - r_pv) / 2
+                    assert cd.r_b == (r_pv + r_uv - r_pu) / 2
+                    assert cd.r_c == (r_pu + r_pv - r_uv) / 2
+
     def test_argument_validation(self):
         g = fam.banana([F(1, 2), F(1, 2)]).graph
         with pytest.raises(GraphError, match="unknown"):
@@ -272,7 +295,6 @@ class TestOracle:
             resistance_oracle(g, "p1", "p2")
 
     def test_matches_matrix(self, rng):
-        from mginv.bounds import SearchConfig, random_pm_graph
         cfg = SearchConfig(vertices=(2, 5), edges=(2, 9), genus=(1, 5), max_q=2)
         for _ in range(15):
             g = random_pm_graph(rng, cfg).graph
