@@ -5,7 +5,7 @@ from .graphs import (Edge, GraphError, MetrizedGraph, PMGraph, Structure,
                      one_point_join, pm_graph_from_json, pm_graph_to_json_dict)
 from .network import (EdgeCircuitData, Network, edge_circuit_data, network_for,
                       resistance_matrix, resistance_oracle, voltage)
-from .invariants import (CrossValidationError, InvariantReport,
+from .invariants import (CrossValidationError, InvariantReport, NotApplicable,
                          genus_identity_residual, a_invariant, epsilon,
                          identity_checks, invariant_report, lambda_invariant,
                          phi, quick_report, tau, theta, xy)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .graphs import MetrizedGraph, PMGraph, pm_graph_to_json_dict
 from .invariants import InvariantReport, quick_report
-from .scalars import FLOAT, RATIONAL, Scalar, Surd79, format_scalar
+from .scalars import FLOAT, RATIONAL, Scalar, Surd79
 
 #: float-backend margins smaller than this get re-verified exactly
 EXACT_RECHECK_THRESHOLD = 1e-6
@@ -58,17 +58,6 @@ class BoundCheck:
     satisfied: bool | None = None
     proved: bool = True
 
-    def to_row(self) -> dict:
-        def fmt(v):
-            return "" if v is None else format_scalar(v)
-
-        return {"bound": self.name, "applicable": self.applicable,
-                "reason": self.reason or "",
-                "lhs": fmt(self.lhs), "rhs": fmt(self.rhs),
-                "margin": fmt(self.margin),
-                "satisfied": "" if self.satisfied is None else self.satisfied,
-                "proved": self.proved}
-
 
 def _ok(name, lhs, rhs, proved=True) -> BoundCheck:
     margin = lhs - rhs
@@ -78,6 +67,23 @@ def _ok(name, lhs, rhs, proved=True) -> BoundCheck:
 
 def _na(name, reason, proved=True) -> BoundCheck:
     return BoundCheck(name, False, reason, proved=proved)
+
+
+def _phi_delta_sum(gbar: int, values, exact: bool) -> Scalar:
+    """t(gbar) values[0] + sum over i >= 1 of 2 i (gbar - i) / gbar values[i]."""
+    total = t_value(gbar, exact) * values[0]
+    for i in range(1, gbar // 2 + 1):
+        total = total + Fraction(2 * i * (gbar - i), gbar) * values[i]
+    return total
+
+
+def _lambda_delta_sum(gbar: int, values) -> Scalar:
+    """gbar/(8 gbar + 4) values[0] + sum over i >= 1 of
+    i (gbar - i) / (2 gbar + 1) values[i]."""
+    total = Fraction(gbar, 8 * gbar + 4) * values[0]
+    for i in range(1, gbar // 2 + 1):
+        total = total + Fraction(i * (gbar - i), 2 * gbar + 1) * values[i]
+    return total
 
 
 def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[BoundCheck]:
@@ -135,27 +141,17 @@ def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[Boun
     counts = pg.edge_type_counts()
     counts_differ = any(Fraction(counts[i]) != delta[i] for i in delta)
     if gbar >= 2:
-        rhs = tg() * delta[0]
-        for i in range(1, gbar // 2 + 1):
-            rhs = rhs + Fraction(2 * i * (gbar - i), gbar) * delta[i]
-        checks.append(_ok("phi_delta", phi, rhs))
+        checks.append(_ok("phi_delta", phi, _phi_delta_sum(gbar, delta, exact)))
         if counts_differ:
-            rhs_c = tg() * counts[0]
-            for i in range(1, gbar // 2 + 1):
-                rhs_c = rhs_c + Fraction(2 * i * (gbar - i), gbar) * counts[i]
-            checks.append(_ok("phi_delta_count", phi, rhs_c, proved=False))
+            checks.append(_ok("phi_delta_count", phi,
+                              _phi_delta_sum(gbar, counts, exact), proved=False))
     else:
         checks.append(_na("phi_delta", "needs genus >= 2"))
 
-    rhs = Fraction(gbar, 8 * gbar + 4) * delta[0]
-    for i in range(1, gbar // 2 + 1):
-        rhs = rhs + Fraction(i * (gbar - i), 2 * gbar + 1) * delta[i]
-    checks.append(_ok("lambda_delta", lam, rhs))
+    checks.append(_ok("lambda_delta", lam, _lambda_delta_sum(gbar, delta)))
     if counts_differ:
-        rhs_c = Fraction(gbar, 8 * gbar + 4) * counts[0]
-        for i in range(1, gbar // 2 + 1):
-            rhs_c = rhs_c + Fraction(i * (gbar - i), 2 * gbar + 1) * counts[i]
-        checks.append(_ok("lambda_delta_count", lam, rhs_c, proved=False))
+        checks.append(_ok("lambda_delta_count", lam,
+                          _lambda_delta_sum(gbar, counts), proved=False))
 
     if bridgeless:
         checks.append(_ok("lambda_floor", lam, Fraction(gbar, 8 * gbar + 4) * ell))
@@ -313,9 +309,7 @@ def effective_bogomolov_r0(components: list[PMGraph], gbar: int,
         _, delta = pg.edge_types()
         for i, val in delta.items():
             total[i] = total[i] + val
-    weighted = t_value(gbar, exact) * total[0]
-    for i in range(1, gbar // 2 + 1):
-        weighted = weighted + Fraction(2 * i * (gbar - i), gbar) * total[i]
+    weighted = _phi_delta_sum(gbar, total, exact)
     r0 = Fraction(2 * (gbar - 1) ** 2, 2 * gbar + 1) * weighted
     a_d = weighted / (2 * (2 * gbar + 1))
     return r0, a_d
@@ -411,38 +405,40 @@ def random_pm_graph(rng: random.Random, cfg: SearchConfig) -> PMGraph:
     raise RuntimeError("could not sample a graph within the configured ranges")
 
 
+def settle_near_zero(pm: PMGraph, evaluated: PMGraph, checks: list[BoundCheck]
+                     ) -> tuple[list[BoundCheck], set[str]]:
+    """``checks``, the bound suite of ``evaluated`` (``pm`` or its float
+    twin), with the near-zero float verdicts settled on the exact backend.
+
+    On floats, an applicable proved check whose margin divided by the total
+    length falls below EXACT_RECHECK_THRESHOLD is replaced by the same check
+    of ``bound_suite(pm)``. Returns the checks and the names re-checked.
+    """
+    if evaluated.graph.backend != FLOAT:
+        return checks, set()
+    ell = float(evaluated.graph.total_length())
+    recheck = {c.name for c in checks if c.applicable and c.proved
+               and float(c.margin) / ell < EXACT_RECHECK_THRESHOLD}
+    if recheck:
+        exact_checks = {c.name: c for c in bound_suite(pm)}
+        checks = [exact_checks[c.name] if c.name in recheck else c for c in checks]
+    return checks, recheck
+
+
 def _search_one(cfg: SearchConfig, k: int) -> SearchResult:
     rng = random.Random(cfg.seed * 1_000_003 + k)
     pm = random_pm_graph(rng, cfg)
     evaluated = pm.as_float() if cfg.backend == FLOAT else pm
-    checks = list(bound_suite(evaluated))
+    checks, rechecked = settle_near_zero(pm, evaluated, bound_suite(evaluated))
+    # a re-checked margin is normalized by the exact total length
     ell = float(evaluated.graph.total_length())
-    margins: dict[str, float] = {}
-    bad: list[str] = []
-    recheck: list[str] = []
-    for c in checks:
-        if not (c.applicable and c.proved):
-            continue
-        m = float(c.margin) / ell
-        margins[c.name] = m
-        if cfg.backend == FLOAT and m < EXACT_RECHECK_THRESHOLD:
-            recheck.append(c.name)
-        elif not c.satisfied:
-            bad.append(c.name)
-    if recheck:
-        # tiny or negative float margins are settled on the exact backend
-        exact_checks = {c.name: c for c in bound_suite(pm)}
-        for pos, c in enumerate(checks):
-            if c.name in recheck:
-                checks[pos] = exact_checks[c.name]
-        for name in recheck:
-            c = exact_checks[name]
-            margins[name] = float(c.margin) / float(pm.graph.total_length())
-            if not c.satisfied:
-                bad.append(name)
+    proved = [c for c in checks if c.applicable and c.proved]
+    margins = {c.name: float(c.margin) / (float(pm.graph.total_length())
+                                          if c.name in rechecked else ell)
+               for c in proved}
+    bad = sorted(c.name for c in proved if not c.satisfied)
     worst = min(margins.values()) if margins else 0.0
-    return SearchResult(graph_id(pm), pm, worst, margins, tuple(checks),
-                        tuple(sorted(bad)))
+    return SearchResult(graph_id(pm), pm, worst, margins, tuple(checks), tuple(bad))
 
 
 def random_search(cfg: SearchConfig) -> list[SearchResult]:

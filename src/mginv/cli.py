@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import network
-from .bounds import SearchConfig, bound_suite, random_search
+from .bounds import (SearchConfig, bound_suite, random_search,
+                     settle_near_zero)
 from .families import FAMILY_KINDS, FamilySpec, family_reference, make_family
 from .graphs import GraphError, PMGraph, pm_graph_from_json, pm_graph_to_json_dict
 from .invariants import (CrossValidationError, identity_checks,
@@ -99,15 +100,15 @@ def _error(kind: str, message: str) -> None:
     sys.stderr.write("\n")
 
 
-def _load(args) -> PMGraph:
+def _load(args) -> tuple[PMGraph, PMGraph]:
+    """The graph of ``--graph`` on the rational backend, and the graph to
+    evaluate on the requested backend."""
     try:
         text = args.graph.read_text()
     except OSError as exc:
         raise GraphError(f"cannot read {args.graph}: {exc}") from exc
-    pg = pm_graph_from_json(text, RATIONAL)
-    if args.backend == FLOAT:
-        pg = pg.as_float()
-    return pg
+    pm = pm_graph_from_json(text, RATIONAL)
+    return pm, pm.as_float() if args.backend == FLOAT else pm
 
 
 def _emit(args, text: str) -> None:
@@ -118,7 +119,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_compute(args) -> int:
-    pg = _load(args)
+    _, pg = _load(args)
     try:
         report = invariant_report(pg)
     except CrossValidationError as exc:
@@ -137,7 +138,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pg = _load(args)
+    pm, pg = _load(args)
     exact = args.backend == RATIONAL
     results = []
     ok = True
@@ -162,7 +163,8 @@ def _cmd_verify(args) -> int:
         mp2 = network.matmul(network.matmul(pinv, lap), pinv) == pinv
         ok &= mp1 and mp2
         results.append({"check": "moore_penrose", "ok": mp1 and mp2})
-    for c in bound_suite(pg, report):
+    checks, _ = settle_near_zero(pm, pg, bound_suite(pg, report))
+    for c in checks:
         if not (c.applicable and c.proved):
             continue
         ok &= c.satisfied
@@ -250,7 +252,7 @@ def _matrix_csv(vertices, rows, decimals) -> str:
 
 
 def _cmd_export(args) -> int:
-    pg = _load(args)
+    _, pg = _load(args)
     h = pg.graph.normalized()
     net = network.network_for(h)
     outdir = args.outdir or Path(".")

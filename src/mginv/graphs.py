@@ -146,10 +146,6 @@ class MetrizedGraph:
         irreducible = (not bridges) and not _has_cut_vertex(self.normalized())
         return Structure(bridges, lam, irreducible)
 
-    @property
-    def is_bridgeless(self) -> bool:
-        return not self.structure.bridges
-
     # -- transformations -------------------------------------------------
 
     def delete_edge(self, i: int):
@@ -196,19 +192,9 @@ class MetrizedGraph:
         e = self._edge(i)
         if pieces < 2:
             raise GraphError("need at least two pieces")
-        seg = e.length / pieces
-        mids = []
-        taken = set(self.vertices)
-        for k in range(1, pieces):
-            name = f"e{i}#s{k}"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            mids.append(name)
-        chain = [e.u] + mids + [e.v]
-        new_edges = tuple(Edge(a, b, seg) for a, b in zip(chain, chain[1:]))
+        mids, arcs = _split(e, i, pieces, set(self.vertices))
         return MetrizedGraph(self.vertices + tuple(mids),
-                             self.edges[:i] + new_edges + self.edges[i + 1:])
+                             self.edges[:i] + tuple(arcs) + self.edges[i + 1:])
 
     def normalized(self) -> "MetrizedGraph":
         """Equivalent graph (same metric space) with no self-loops and no
@@ -231,17 +217,9 @@ class MetrizedGraph:
                     out_edges.append(e)
                     continue
                 pieces = 2
-            seg = e.length / pieces
-            mids = []
-            for k in range(1, pieces):
-                name = f"e{i}#s{k}"
-                while name in taken:
-                    name += "'"
-                taken.add(name)
-                mids.append(name)
+            mids, arcs = _split(e, i, pieces, taken)
             verts.extend(mids)
-            chain = [e.u] + mids + [e.v]
-            out_edges.extend(Edge(a, b, seg) for a, b in zip(chain, chain[1:]))
+            out_edges.extend(arcs)
         return MetrizedGraph(tuple(verts), tuple(out_edges))
 
     def scaled(self, t) -> "MetrizedGraph":
@@ -510,6 +488,24 @@ def pm_graph_to_json_dict(pg: PMGraph) -> dict:
 # internal graph algorithms (lengths never matter here)
 
 
+def _fresh(name: str, taken: set[str]) -> str:
+    """``name`` with ``'`` appended until it is not in ``taken``; the
+    result is added to ``taken``."""
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
+def _split(e: Edge, i: int, pieces: int, taken: set[str]) -> tuple[list[str], list[Edge]]:
+    """Edge ``e`` (index ``i``) cut into ``pieces`` equal arcs through fresh
+    vertices ``e{i}#s1``, ``e{i}#s2``, ...; returns the vertices and arcs."""
+    seg = e.length / pieces
+    mids = [_fresh(f"e{i}#s{k}", taken) for k in range(1, pieces)]
+    chain = [e.u] + mids + [e.v]
+    return mids, [Edge(a, b, seg) for a, b in zip(chain, chain[1:])]
+
+
 def _adjacency(vertices, edges) -> dict[str, list[tuple[str, int]]]:
     adj: dict[str, list[tuple[str, int]]] = {p: [] for p in vertices}
     for i, e in enumerate(edges):
@@ -627,10 +623,7 @@ def _edge_connectivity(g: MetrizedGraph) -> int:
     pairs: list[tuple[str, str]] = []
     for i, e in enumerate(g.edges):
         if e.is_loop:
-            mid = f"e{i}#cut"
-            while mid in taken:
-                mid += "'"
-            taken.add(mid)
+            mid = _fresh(f"e{i}#cut", taken)
             verts.append(mid)
             pairs.append((e.u, mid))
             pairs.append((mid, e.v))

@@ -19,8 +19,11 @@ backend, to a relative 1e-10 on floats. The tau constant has four routes:
 The theta invariant (canonical-divisor-weighted sum of pairwise
 resistances) likewise has ``definition``, ``second``, ``third`` and
 ``fourth`` routes, and phi/lambda each have formula variants with their own
-applicability. ``invariant_report`` runs everything applicable, checks
-agreement and base-vertex independence, and returns the audit trail.
+applicability. A route that does not apply to a graph raises
+``NotApplicable`` from its guard, before any network work; the guards are
+the only statement of which routes apply. ``invariant_report`` runs every
+route, skips those that raise ``NotApplicable``, checks agreement and
+base-vertex independence, and returns the audit trail.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ LAMBDA_ROUTES = ("cor", "prop_lambda", "second", "second2")
 
 class CrossValidationError(AssertionError):
     """Two formulas for the same invariant disagreed (carries both values)."""
+
+
+class NotApplicable(GraphError):
+    """A formula route does not apply to the graph (the message says why)."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +140,22 @@ def _valence_weighted(net: Network, pivot: int, f) -> Scalar:
 
 def _check_bridgeless(graph: MetrizedGraph, what: str) -> None:
     if graph.structure.bridges:
-        raise GraphError(f"{what} requires a bridgeless graph")
+        raise NotApplicable(f"{what} requires a bridgeless graph")
 
 
 def _check_simple_polarization(pg: PMGraph, what: str) -> None:
     if not pg.is_simple_polarization:
-        raise GraphError(f"{what} requires q identically zero")
+        raise NotApplicable(f"{what} requires q identically zero")
+
+
+def _contraction_graph(graph: MetrizedGraph, what: str) -> MetrizedGraph:
+    """The normalized graph, on which the contraction formulas run; they
+    need a bridgeless graph with at least three vertices once normalized."""
+    _check_bridgeless(graph, what)
+    h = graph.normalized()
+    if h.num_vertices < 3:
+        raise NotApplicable(f"{what} needs >= 3 vertices")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +231,8 @@ def tau_contraction(graph: MetrizedGraph) -> Scalar:
     """Contraction formula; needs a bridgeless graph with at least three
     vertices once normalized, and contracts only non-loop edges (guaranteed
     by normalizing first)."""
-    _check_bridgeless(graph, "tau method 'contraction'")
-    h = graph.normalized()
+    h = _contraction_graph(graph, "tau method 'contraction'")
     v = h.num_vertices
-    if v < 3:
-        raise GraphError("tau method 'contraction' needs >= 3 vertices")
     net = network_for(h)
     return (h.total_length() / 12
             - _valence_weighted(net, 2, _ab_rc_sum) / (6 * (v - 2))
@@ -294,10 +308,7 @@ def theta_fourth(pg: PMGraph, tau_value: Scalar | None = None) -> Scalar:
 def _theta_contraction(pg: PMGraph, tau_value, fourth: bool) -> Scalar:
     name = "theta method 'fourth'" if fourth else "theta method 'third'"
     _check_simple_polarization(pg, name)
-    _check_bridgeless(pg.graph, name)
-    h = pg.graph.normalized()
-    if h.num_vertices < 3:
-        raise GraphError(f"{name} needs >= 3 vertices")
+    h = _contraction_graph(pg.graph, name)
     if tau_value is None:
         tau_value = tau_edges(h)
     net = network_for(h)
@@ -344,6 +355,10 @@ def a_invariant(pg: PMGraph, tau_value=None, theta_value=None) -> Scalar:
 def phi(pg: PMGraph, route: str = "main1", tau_value=None, theta_value=None) -> Scalar:
     """phi invariant, via tau/theta ('main1') or the bridgeless direct
     formula with the polarization cross terms ('direct')."""
+    if route == "direct":
+        _check_bridgeless(pg.graph, "phi route 'direct'")
+    elif route != "main1":
+        raise GraphError(f"unknown phi route {route!r}; pick from {PHI_ROUTES}")
     gbar = pg.pm_genus()
     if tau_value is None:
         tau_value = tau_edges(pg.graph)
@@ -352,21 +367,29 @@ def phi(pg: PMGraph, route: str = "main1", tau_value=None, theta_value=None) -> 
             theta_value = theta_definition(pg)
         return (Fraction(5 * gbar - 2, gbar) * tau_value
                 + theta_value / (4 * gbar) - pg.graph.total_length() / 4)
-    if route == "direct":
-        _check_bridgeless(pg.graph, "phi route 'direct'")
-        d, e = _polarization_cross_sums(pg)
-        return (Fraction(2 * gbar + 1, gbar) * tau_value
-                - pg.graph.total_length() / (4 * gbar)
-                + d / (2 * gbar) + e / (2 * gbar))
-    raise GraphError(f"unknown phi route {route!r}; pick from {PHI_ROUTES}")
+    d, e = _polarization_cross_sums(pg)
+    return (Fraction(2 * gbar + 1, gbar) * tau_value
+            - pg.graph.total_length() / (4 * gbar)
+            + d / (2 * gbar) + e / (2 * gbar))
 
 
 def lambda_invariant(pg: PMGraph, route: str = "cor",
                      tau_value=None, theta_value=None) -> Scalar:
     """lambda invariant by one of four routes (see LAMBDA_ROUTES)."""
-    gbar = pg.pm_genus()
+    if route not in LAMBDA_ROUTES:
+        raise GraphError(f"unknown lambda route {route!r}; pick from {LAMBDA_ROUTES}")
     graph = pg.graph
+    gbar = pg.pm_genus()
     ell = graph.total_length()
+    if route == "prop_lambda":
+        _check_bridgeless(graph, "lambda route 'prop_lambda'")
+        d, e = _polarization_cross_sums(pg)
+        return (Fraction(gbar, 8 * gbar + 4) * ell
+                + d / (8 * gbar + 4) + e / (8 * gbar + 4))
+    if route != "cor":
+        name = f"lambda route {route!r}"
+        _check_simple_polarization(pg, name)
+        h = _contraction_graph(graph, name)
     if tau_value is None:
         tau_value = tau_edges(graph)
     if route == "cor":
@@ -375,36 +398,23 @@ def lambda_invariant(pg: PMGraph, route: str = "cor",
         return (Fraction(3 * gbar - 3, 4 * gbar + 2) * tau_value
                 + theta_value / (16 * gbar + 8)
                 + Fraction(gbar + 1, 16 * gbar + 8) * ell)
-    if route == "prop_lambda":
-        _check_bridgeless(graph, "lambda route 'prop_lambda'")
-        d, e = _polarization_cross_sums(pg)
-        return (Fraction(gbar, 8 * gbar + 4) * ell
-                + d / (8 * gbar + 4) + e / (8 * gbar + 4))
-    if route in ("second", "second2"):
-        name = f"lambda route {route!r}"
-        _check_simple_polarization(pg, name)
-        _check_bridgeless(graph, name)
-        h = graph.normalized()
-        if h.num_vertices < 3:
-            raise GraphError(f"{name} needs >= 3 vertices")
-        net = network_for(h)
-        g = h.genus()
-        sum_lr = _sum_lr(net)
-        contraction_sum = _contraction_sum(net)
-        if route == "second":
-            total = (Fraction(3 * g + 3, 8 * g + 4) * tau_value
-                     + Fraction(3 * g - 1, 16 * (2 * g + 1)) * ell
-                     + Fraction(g - 1, 16 * g + 8) * sum_lr
-                     + contraction_sum / (8 * g + 4))
-            pivot = 3
-        else:
-            total = (Fraction(3 * g + 3, 4 * g + 2) * tau_value
-                     + Fraction(g - 1, 16 * g + 8) * ell
-                     + Fraction(g - 1, 8 * g + 4) * sum_lr
-                     + contraction_sum / (4 * g + 2))
-            pivot = 4
-        return total + _valence_weighted(net, pivot, _rc_sum) / (8 * g + 4)
-    raise GraphError(f"unknown lambda route {route!r}; pick from {LAMBDA_ROUTES}")
+    net = network_for(h)
+    g = h.genus()
+    sum_lr = _sum_lr(net)
+    contraction_sum = _contraction_sum(net)
+    if route == "second":
+        total = (Fraction(3 * g + 3, 8 * g + 4) * tau_value
+                 + Fraction(3 * g - 1, 16 * (2 * g + 1)) * ell
+                 + Fraction(g - 1, 16 * g + 8) * sum_lr
+                 + contraction_sum / (8 * g + 4))
+        pivot = 3
+    else:
+        total = (Fraction(3 * g + 3, 4 * g + 2) * tau_value
+                 + Fraction(g - 1, 16 * g + 8) * ell
+                 + Fraction(g - 1, 8 * g + 4) * sum_lr
+                 + contraction_sum / (4 * g + 2))
+        pivot = 4
+    return total + _valence_weighted(net, pivot, _rc_sum) / (8 * g + 4)
 
 
 def _polarization_cross_sums(pg: PMGraph) -> tuple[Scalar, Scalar]:
@@ -544,6 +554,53 @@ def _require_nonnegative(name: str, value, exact: bool) -> None:
         raise CrossValidationError(f"{name} = {value} is negative")
 
 
+def _cross_checked(name: str, routes: dict, exact: bool) -> dict[str, Scalar]:
+    """Run every route of ``routes`` (route name -> thunk), skip those that
+    raise NotApplicable, and require the values of the rest to agree."""
+    values: dict[str, Scalar] = {}
+    for route, run in routes.items():
+        try:
+            values[route] = run()
+        except NotApplicable:
+            continue
+    _require_agreement(name, values, exact)
+    return values
+
+
+def _base_independent(name: str, per_base: dict, exact: bool) -> Scalar:
+    """The value at the first base vertex, after requiring all to agree."""
+    _require_agreement(f"{name} base-independence",
+                       {f"base {p}": v for p, v in per_base.items()}, exact)
+    return next(iter(per_base.values()))
+
+
+def _report(pg: PMGraph, tau_methods: dict, theta_methods: dict,
+            phi_value, lam, x, y) -> InvariantReport:
+    """The report of the routes that ran; tau and theta are read off the
+    'edges' and 'definition' routes."""
+    graph = pg.graph
+    tau_value = tau_methods["edges"]
+    theta_value = theta_methods["definition"]
+    _, delta = pg.edge_types()
+    return InvariantReport(
+        backend=graph.backend,
+        ell=graph.total_length(),
+        genus=graph.genus(),
+        pm_genus=pg.pm_genus(),
+        tau=tau_value,
+        theta=theta_value,
+        epsilon=epsilon(pg, tau_value, theta_value),
+        a=a_invariant(pg, tau_value, theta_value),
+        phi=phi_value,
+        lam=lam,
+        x=x,
+        y=y,
+        delta=delta,
+        tau_methods=tau_methods,
+        theta_methods=theta_methods,
+    )
+
+
 def invariant_report(pg: PMGraph) -> InvariantReport:
     """Compute every invariant by every applicable formula and cross-check.
 
@@ -553,77 +610,45 @@ def invariant_report(pg: PMGraph) -> InvariantReport:
     """
     graph = pg.graph
     exact = graph.backend == RATIONAL
-    bridgeless = graph.is_bridgeless
-    normalized = graph.normalized()
 
-    tau_methods: dict[str, Scalar] = {"edges": tau_edges(graph)}
-    tau_methods["laplacian"] = tau_laplacian(graph)
-    if bridgeless:
-        per_base = {p: tau_crossterm(graph, p) for p in graph.vertices}
-        _require_agreement("tau crossterm base-independence",
-                           {f"base {p}": v for p, v in per_base.items()}, exact)
-        tau_methods["crossterm"] = per_base[graph.vertices[0]]
-        if normalized.num_vertices >= 3:
-            tau_methods["contraction"] = tau_contraction(graph)
-    _require_agreement("tau", tau_methods, exact)
+    tau_methods = _cross_checked("tau", {
+        "edges": lambda: tau_edges(graph),
+        "laplacian": lambda: tau_laplacian(graph),
+        "crossterm": lambda: _base_independent(
+            "tau crossterm", {p: tau_crossterm(graph, p) for p in graph.vertices},
+            exact),
+        "contraction": lambda: tau_contraction(graph),
+    }, exact)
     tau_value = tau_methods["edges"]
 
-    theta_methods: dict[str, Scalar] = {"definition": theta_definition(pg)}
-    if bridgeless and pg.is_simple_polarization:
-        theta_methods["second"] = theta_second(pg, tau_value)
-        if normalized.num_vertices >= 3:
-            theta_methods["third"] = theta_third(pg, tau_value)
-            theta_methods["fourth"] = theta_fourth(pg, tau_value)
-    _require_agreement("theta", theta_methods, exact)
+    theta_methods = _cross_checked("theta", {
+        "definition": lambda: theta_definition(pg),
+        "second": lambda: theta_second(pg, tau_value),
+        "third": lambda: theta_third(pg, tau_value),
+        "fourth": lambda: theta_fourth(pg, tau_value),
+    }, exact)
     theta_value = theta_methods["definition"]
 
-    eps = epsilon(pg, tau_value, theta_value)
-    a = a_invariant(pg, tau_value, theta_value)
+    phi_value = _cross_checked("phi", {
+        "main1": lambda: phi(pg, "main1", tau_value, theta_value),
+        "direct": lambda: phi(pg, "direct", tau_value),
+    }, exact)["main1"]
 
-    phi_routes = {"main1": phi(pg, "main1", tau_value, theta_value)}
-    if bridgeless:
-        phi_routes["direct"] = phi(pg, "direct", tau_value)
-    _require_agreement("phi", phi_routes, exact)
-    phi_value = phi_routes["main1"]
-
-    lambda_routes = {"cor": lambda_invariant(pg, "cor", tau_value, theta_value)}
-    if bridgeless:
-        lambda_routes["prop_lambda"] = lambda_invariant(pg, "prop_lambda", tau_value)
-        if pg.is_simple_polarization and normalized.num_vertices >= 3:
-            lambda_routes["second"] = lambda_invariant(pg, "second", tau_value)
-            lambda_routes["second2"] = lambda_invariant(pg, "second2", tau_value)
-    _require_agreement("lambda", lambda_routes, exact)
-    lam = lambda_routes["cor"]
+    lam = _cross_checked("lambda", {
+        "cor": lambda: lambda_invariant(pg, "cor", tau_value, theta_value),
+        "prop_lambda": lambda: lambda_invariant(pg, "prop_lambda", tau_value),
+        "second": lambda: lambda_invariant(pg, "second", tau_value),
+        "second2": lambda: lambda_invariant(pg, "second2", tau_value),
+    }, exact)["cor"]
 
     per_base_xy = {p: xy(graph, p) for p in graph.vertices}
-    _require_agreement("x base-independence",
-                       {f"base {p}": v[0] for p, v in per_base_xy.items()}, exact)
-    _require_agreement("y base-independence",
-                       {f"base {p}": v[1] for p, v in per_base_xy.items()}, exact)
-    x, y = per_base_xy[graph.vertices[0]]
+    x = _base_independent("x", {p: v[0] for p, v in per_base_xy.items()}, exact)
+    y = _base_independent("y", {p: v[1] for p, v in per_base_xy.items()}, exact)
 
-    for name, value in (("tau", tau_value), ("theta", theta_value),
-                        ("epsilon", eps), ("a", a)):
-        _require_nonnegative(name, value, exact)
-
-    _, delta = pg.edge_types()
-    return InvariantReport(
-        backend=graph.backend,
-        ell=graph.total_length(),
-        genus=graph.genus(),
-        pm_genus=pg.pm_genus(),
-        tau=tau_value,
-        theta=theta_value,
-        epsilon=eps,
-        a=a,
-        phi=phi_value,
-        lam=lam,
-        x=x,
-        y=y,
-        delta=delta,
-        tau_methods=tau_methods,
-        theta_methods=theta_methods,
-    )
+    report = _report(pg, tau_methods, theta_methods, phi_value, lam, x, y)
+    for name in ("tau", "theta", "epsilon", "a"):
+        _require_nonnegative(name, getattr(report, name), exact)
+    return report
 
 
 def quick_report(pg: PMGraph) -> InvariantReport:
@@ -636,27 +661,10 @@ def quick_report(pg: PMGraph) -> InvariantReport:
     graph = pg.graph
     tau_value = tau_edges(graph)
     theta_value = theta_definition(pg)
-    eps = epsilon(pg, tau_value, theta_value)
-    a = a_invariant(pg, tau_value, theta_value)
     x, y = xy(graph)
-    _, delta = pg.edge_types()
-    return InvariantReport(
-        backend=graph.backend,
-        ell=graph.total_length(),
-        genus=graph.genus(),
-        pm_genus=pg.pm_genus(),
-        tau=tau_value,
-        theta=theta_value,
-        epsilon=eps,
-        a=a,
-        phi=phi(pg, "main1", tau_value, theta_value),
-        lam=lambda_invariant(pg, "cor", tau_value, theta_value),
-        x=x,
-        y=y,
-        delta=delta,
-        tau_methods={"edges": tau_value},
-        theta_methods={"definition": theta_value},
-    )
+    return _report(pg, {"edges": tau_value}, {"definition": theta_value},
+                   phi(pg, "main1", tau_value, theta_value),
+                   lambda_invariant(pg, "cor", tau_value, theta_value), x, y)
 
 
 def identity_checks(pg: PMGraph, report: InvariantReport) -> list[tuple[str, Scalar]]:

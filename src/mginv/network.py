@@ -312,8 +312,7 @@ def edge_circuit_data(graph: MetrizedGraph, i: int, p: str) -> EdgeCircuitData:
 # spanning-tree oracle
 
 
-def resistance_oracle(graph: MetrizedGraph, p: str, q: str,
-                      max_edges: int = ORACLE_EDGE_CAP) -> Scalar:
+def resistance_oracle(graph: MetrizedGraph, p: str, q: str) -> Scalar:
     """Effective resistance by exhaustive enumeration.
 
     r(p, q) = F(p, q) / T with T the sum over spanning trees of the product
@@ -324,8 +323,8 @@ def resistance_oracle(graph: MetrizedGraph, p: str, q: str,
     for w in (p, q):
         if w not in graph.vertex_index:
             raise GraphError(f"unknown vertex {w!r}")
-    if graph.num_edges > max_edges:
-        raise GraphError(f"oracle capped at {max_edges} edges, "
+    if graph.num_edges > ORACLE_EDGE_CAP:
+        raise GraphError(f"oracle capped at {ORACLE_EDGE_CAP} edges, "
                          f"got {graph.num_edges}")
     if p == q:
         return Fraction(0)

@@ -69,8 +69,6 @@ def format_scalar(x, decimals: int | None = None) -> str:
         return f"{float(x):.{decimals}f}"
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, Surd79):
-        return repr(x)
     return repr(x)
 
 

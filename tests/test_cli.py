@@ -114,6 +114,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--graph", str(path))
         assert code == 0 and json.loads(out)["ok"]
 
+    def test_float_settles_near_zero_margins(self, tmp_path, capsys):
+        # the banana with three edges of length 1/3 meets several bounds with
+        # equality; on floats their margins come out near -1e-16 and must be
+        # settled on the exact backend, as search does
+        path = tmp_path / "banana.json"
+        path.write_text(json.dumps(pm_graph_to_json_dict(fam.banana([F(1, 3)] * 3))))
+        code, out, _ = run(capsys, "verify", "--graph", str(path), "--backend", "float")
+        assert code == 0
+        bounds = {c["check"]: c for c in json.loads(out)["checks"]
+                  if c["check"].startswith("bound:")}
+        assert all(c["ok"] for c in bounds.values())
+        exact = {name for name, c in bounds.items()
+                 if not any(ch in c["margin"] for ch in ".en")}
+        assert {"bound:zhang_lower", "bound:phi_t", "bound:lambda_floor",
+                "bound:xy_gy"} <= exact
+        assert all(Fraction(bounds[name]["margin"]) >= 0 for name in exact)
+        # margins well clear of zero keep their float values
+        assert "." in bounds["bound:xy_sum"]["margin"]
 
     def test_work_count(self, tmp_path, capsys, monkeypatch):
         # one inversion per vertex set, and the report is built once and

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mginv.families as fam
+import mginv.invariants as inv
+from mginv.bounds import SearchConfig, random_pm_graph
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
-from mginv.invariants import (CrossValidationError, _contraction_rc_sums,
-                              _rc_sum, a_invariant, epsilon,
-                              genus_identity_residual, identity_checks,
-                              invariant_report, lambda_invariant, phi,
-                              quick_report, tau, theta, xy)
+from mginv.invariants import (LAMBDA_ROUTES, PHI_ROUTES, TAU_METHODS,
+                              THETA_METHODS, CrossValidationError,
+                              NotApplicable, _contraction_rc_sums, _rc_sum,
+                              a_invariant, epsilon, genus_identity_residual,
+                              identity_checks, invariant_report,
+                              lambda_invariant, phi, quick_report, tau, theta,
+                              xy)
 from mginv.network import Network, network_for
 from tests.conftest import random_lengths, random_simple_bridgeless
 
@@ -266,6 +270,127 @@ class TestDerivedInvariants:
             phi(tree, "direct")
         with pytest.raises(GraphError, match="bridgeless"):
             lambda_invariant(tree, "prop_lambda")
+
+
+def reference_routes(pg: PMGraph) -> dict[str, dict[str, bool]]:
+    """Which routes apply, by the predicates the report once tested itself;
+    kept here as the reference the route guards must match."""
+    graph = pg.graph
+    bridgeless = not graph.structure.bridges
+    simple_pol = pg.is_simple_polarization
+    contracts = bridgeless and graph.normalized().num_vertices >= 3
+    return {
+        "tau": {"edges": True, "laplacian": True, "crossterm": bridgeless,
+                "contraction": contracts},
+        "theta": {"definition": True, "second": bridgeless and simple_pol,
+                  "third": contracts and simple_pol,
+                  "fourth": contracts and simple_pol},
+        "phi": {"main1": True, "direct": bridgeless},
+        "lambda": {"cor": True, "prop_lambda": bridgeless,
+                   "second": contracts and simple_pol,
+                   "second2": contracts and simple_pol},
+    }
+
+
+def route_calls(pg: PMGraph) -> dict[str, dict]:
+    return {
+        "tau": {m: lambda m=m: tau(pg.graph, m) for m in TAU_METHODS},
+        "theta": {m: lambda m=m: theta(pg, m) for m in THETA_METHODS},
+        "phi": {r: lambda r=r: phi(pg, r) for r in PHI_ROUTES},
+        "lambda": {r: lambda r=r: lambda_invariant(pg, r) for r in LAMBDA_ROUTES},
+    }
+
+
+def bridged(rng) -> PMGraph:
+    """Two random bridgeless graphs joined by a bridge."""
+    cfg = SearchConfig(vertices=(3, 5), edges=(4, 7), max_q=1)
+    left, right = (random_pm_graph(rng, cfg) for _ in range(2))
+    verts = [f"L{p}" for p in left.graph.vertices] + [f"R{p}" for p in right.graph.vertices]
+    edges = ([(f"L{e.u}", f"L{e.v}", e.length) for e in left.graph.edges]
+             + [(f"R{e.u}", f"R{e.v}", e.length) for e in right.graph.edges]
+             + [("Lp1", "Rp1", F(1, 3))])
+    q = {f"L{p}": k for p, k in left.q.items()}
+    q.update({f"R{p}": k for p, k in right.q.items()})
+    return PMGraph.of(MetrizedGraph.build(verts, edges), q)
+
+
+def applicability_cases():
+    rng = random.Random(515)
+    cases = {f"random{k}": random_pm_graph(rng, cfg) for k, cfg in enumerate(
+        [SearchConfig()] * 4 + [SearchConfig(max_q=0)] * 3
+        + [SearchConfig(simple_only=True, max_q=0, edges=(4, 12))] * 2
+        + [SearchConfig(max_q=2, genus=(3, 6))] * 2)}
+    cases.update({
+        "bridged_random": bridged(rng),
+        "tree": PMGraph.of(MetrizedGraph.build(["p", "q"], [("p", "q", F(1))]),
+                           {"p": 1, "q": 1}),
+        "dumbbell": PMGraph.of(MetrizedGraph.build(
+            ["a", "b"], [("a", "a", F(1)), ("a", "b", F(1, 2)), ("b", "b", F(2))])),
+        "polarized_k4": PMGraph.of(fam.complete_equal(4).graph, {"p1": 1}),
+        "polarized_banana": PMGraph.of(fam.banana([F(1, 2), F(1, 3)]).graph, {"p": 1}),
+        "circle_loop": fam.circle(F(3, 2)),
+        "bouquet": fam.bouquet([F(1, 2), F(1, 3), F(1, 4)]),
+        "loops_and_parallels": PMGraph.of(MetrizedGraph.build(
+            ["a", "b", "c"], [("a", "a", F(1, 3)), ("a", "b", F(1, 2)),
+                              ("a", "b", F(1, 5)), ("b", "c", F(1)),
+                              ("c", "a", F(2, 3)), ("c", "c", F(1, 4))])),
+        "point": PMGraph.of(MetrizedGraph.build(["p"], []), {"p": 1}),
+    })
+    return cases
+
+
+APPLICABILITY_CASES = applicability_cases()
+
+
+class TestRouteApplicability:
+    @pytest.mark.parametrize("name", sorted(APPLICABILITY_CASES))
+    def test_guards_match_reference(self, name):
+        pg = APPLICABILITY_CASES[name]
+        expected = reference_routes(pg)
+        for invariant, calls in route_calls(pg).items():
+            for route, call in calls.items():
+                if expected[invariant][route]:
+                    call()
+                else:
+                    with pytest.raises(NotApplicable):
+                        call()
+
+    @pytest.mark.parametrize("name", sorted(APPLICABILITY_CASES))
+    def test_guard_precedes_network_work(self, name, monkeypatch):
+        pg = APPLICABILITY_CASES[name]
+        expected = reference_routes(pg)
+
+        def no_network(graph):
+            raise AssertionError("network work before the route guard")
+
+        monkeypatch.setattr(inv, "network_for", no_network)
+        for invariant, calls in route_calls(pg).items():
+            for route, call in calls.items():
+                if not expected[invariant][route]:
+                    with pytest.raises(NotApplicable):
+                        call()
+
+    @pytest.mark.parametrize("name", sorted(APPLICABILITY_CASES))
+    def test_report_runs_the_applicable_routes(self, name):
+        pg = APPLICABILITY_CASES[name]
+        expected = reference_routes(pg)
+        rep = invariant_report(pg)
+        for invariant, methods in (("tau", rep.tau_methods),
+                                   ("theta", rep.theta_methods)):
+            assert list(methods) == [r for r, ok in expected[invariant].items() if ok]
+
+    def test_only_not_applicable_is_skipped(self, monkeypatch):
+        pg = fam.complete_equal(4)
+
+        def broken(graph):
+            raise GraphError("disconnected input")
+
+        monkeypatch.setattr(inv, "tau_contraction", broken)
+        with pytest.raises(GraphError, match="disconnected input"):
+            invariant_report(pg)
+
+    def test_not_applicable_is_a_graph_error(self):
+        assert issubclass(NotApplicable, GraphError)
 
 
 class TestXY:
