@@ -340,6 +340,34 @@ class SearchConfig:
     backend: str = RATIONAL
     workers: int = 1
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for name in ("genus", "vertices", "edges"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} range {lo}:{hi} is inverted")
+        if self.vertices[0] < 1:
+            raise ValueError(f"vertices range {self.vertices[0]}:{self.vertices[1]} "
+                             "must start at 1 or more")
+        if not any(self._feasible(v) for v in range(self.vertices[0],
+                                                    self.vertices[1] + 1)):
+            raise ValueError("no graph in the vertex and edge ranges has a "
+                             "pm-genus in the genus range")
+
+    def _feasible(self, v: int) -> bool:
+        """Whether ``random_pm_graph`` can draw a graph with v vertices: an
+        edge count e in range, placeable (one vertex takes no chord), and a
+        target genus with g = e - v + 1 <= target <= g + v max_q."""
+        e_lo = max(v, self.edges[0])
+        e_hi = max(v, self.edges[1]) if v > 1 else 1
+        if self.simple_only:
+            e_hi = min(e_hi, v * (v - 1) // 2)
+        g_lo = max(e_lo - v + 1, max(self.genus[0], 1) - v * self.max_q)
+        return g_lo <= min(e_hi - v + 1, self.genus[1])
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -402,7 +430,7 @@ def random_pm_graph(rng: random.Random, cfg: SearchConfig) -> PMGraph:
                 deficit -= 1
         graph = MetrizedGraph.build(verts, edges)
         return PMGraph.of(graph, q)
-    raise RuntimeError("could not sample a graph within the configured ranges")
+    raise ValueError("could not sample a graph within the configured ranges")
 
 
 def settle_near_zero(pm: PMGraph, evaluated: PMGraph, checks: list[BoundCheck]

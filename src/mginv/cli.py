@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -212,6 +213,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_search(args) -> int:
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise ValueError(f"workers must be at most the {cpus} CPUs, got {args.workers}")
     cfg = SearchConfig(samples=args.samples, seed=args.seed,
                        genus=_parse_range(args.genus),
                        vertices=_parse_range(args.vertices),

@@ -200,7 +200,12 @@ class MetrizedGraph:
         """Equivalent graph (same metric space) with no self-loops and no
         parallel edges, obtained by inserting valence-2 points: every
         self-loop is cut into three arcs, every parallel edge but the first
-        of its class into two. Total length is preserved exactly."""
+        of its class into two. Total length is preserved exactly. Built
+        once per instance: every call returns the same object."""
+        return self._normalized
+
+    @cached_property
+    def _normalized(self) -> "MetrizedGraph":
         if self.is_simple:
             return self
         verts = list(self.vertices)

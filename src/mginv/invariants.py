@@ -257,13 +257,13 @@ def theta(pg: PMGraph, method: str = "definition") -> Scalar:
 
 
 def theta_definition(pg: PMGraph) -> Scalar:
-    """Direct double sum over the normalized vertex set, with resistances
-    read off the Laplacian pseudo-inverse. Inserted valence-2 vertices carry
-    weight zero, so they change nothing."""
-    h = pg.normalized()
-    g = h.graph
+    """Direct double sum over the vertex set as given, with resistances read
+    off the Laplacian pseudo-inverse. It equals the sum over the normalized
+    vertex set: the valence-2 points that normalizing inserts carry weight
+    zero, and the other vertices keep their weights and resistances."""
+    g = pg.graph
     r = network_for(g).r
-    weights = [h.canonical_weight(p) for p in g.vertices]
+    weights = [pg.canonical_weight(p) for p in g.vertices]
     n = g.num_vertices
     total = Fraction(0)
     for a in range(n):

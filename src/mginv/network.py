@@ -7,9 +7,11 @@ minus the summed conductances 1/L_k of the edges between two vertices and
 zero row sums; self-loops carry no current and are skipped, and parallel
 edges merge their conductances, which leaves every vertex-to-vertex
 resistance unchanged, so any metrized graph is accepted. Its Moore-Penrose
-pseudo-inverse is computed as (L + J/v)^-1 - J/v, with Gauss-Jordan
-elimination run exactly on the rational backend and with partial pivoting
-on floats.
+pseudo-inverse is computed as (L + J/v)^-1 - J/v. On the rational backend,
+L + J/v is scaled by the least common multiple s of v and its denominators
+to an integer matrix, which fraction-free Gauss-Jordan elimination (Bareiss
+1968) inverts in integers as N/d; each entry of L+ is then the one fraction
+(v s N_ij - d) / (v d). On floats, Gauss-Jordan runs with partial pivoting.
 
 Effective resistances between vertices come from the pseudo-inverse. The
 per-edge circuit data needed by the invariant formulas lives in the graph
@@ -34,9 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
 
 from .graphs import GraphError, MetrizedGraph
-from .scalars import Scalar
+from .scalars import FLOAT, Scalar
 
 #: resistance_oracle refuses graphs with more edges than this
 ORACLE_EDGE_CAP = 14
@@ -48,18 +51,52 @@ def _is_float_matrix(rows) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
 
 
-def invert_matrix(rows) -> list[list[Scalar]]:
-    """Gauss-Jordan inverse; exact on rationals, partial pivoting on floats."""
+def invert_matrix(rows) -> tuple[list[list[Scalar]], Scalar]:
+    """Inverse of a square matrix as ``(N, d)``, with rows^-1 = N / d.
+
+    Integer rows are inverted exactly by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968): N and d are integers. Float rows use
+    Gauss-Jordan with partial pivoting, and d = 1.0.
+    """
+    if _is_float_matrix(rows):
+        return _invert_float(rows), 1.0
+    return _invert_bareiss(rows)
+
+
+def _invert_bareiss(rows) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan on [A | I]. After step k every entry is a
+    minor of the augmented matrix, so each division by the previous pivot
+    is exact; at the end the left block is d I and the right block d A^-1,
+    with d the last pivot (det A up to the sign of the row swaps)."""
+    n = len(rows)
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("invert_matrix takes integer or float rows")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise GraphError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        # columns up to k are not read again (0 off the diagonal, p on it)
+        pivot_tail = a[k][k + 1:]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[k + 1:], pivot_tail)]
+        prev = p
+    return [row[n:] for row in a], prev
+
+
+def _invert_float(rows) -> list[list[float]]:
     n = len(rows)
     a = [list(r) for r in rows]
-    partial = _is_float_matrix(rows)
-    one = 1.0 if partial else Fraction(1)
-    inv = [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for col in range(n):
-        if partial:
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        else:
-            piv = next((r for r in range(col, n) if a[r][col] != 0), col)
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
             raise GraphError("singular matrix")
         if piv != col:
@@ -109,6 +146,15 @@ def _laplacian_rows(graph: MetrizedGraph) -> list[list[Scalar]]:
     return rows
 
 
+def _invert_shifted(rows):
+    """``invert_matrix`` of the shifted Laplacian L + J/v (scaled on the
+    exact backend), singular exactly when the graph is disconnected."""
+    try:
+        return invert_matrix(rows)
+    except GraphError as exc:
+        raise GraphError("disconnected input") from exc
+
+
 @dataclass(frozen=True)
 class EdgeCircuitData:
     """Circuit-reduction data for one edge and one base vertex.
@@ -145,16 +191,24 @@ class Network:
     def __init__(self, graph: MetrizedGraph):
         rows = _laplacian_rows(graph)
         n = len(rows)
-        jv = Fraction(1, n)
         if n == 1:
             lplus = [[Fraction(0)]]
-        else:
-            shifted = [[x + jv for x in row] for row in rows]
-            try:
-                inv = invert_matrix(shifted)
-            except GraphError as exc:
-                raise GraphError("disconnected input") from exc
+        elif graph.backend == FLOAT:
+            jv = Fraction(1, n)
+            inv, _ = _invert_shifted([[x + jv for x in row] for row in rows])
             lplus = [[x - jv for x in row] for row in inv]
+        else:
+            # s (L + J/v) is an integer matrix M; with M^-1 = N/d,
+            # L+ = s N/d - 1/v = (v s N - d) / (v d), and N is symmetric
+            s = lcm(n, *(x.denominator for row in rows for x in row))
+            shift = s // n
+            inv, d = _invert_shifted(
+                [[x.numerator * (s // x.denominator) + shift for x in row]
+                 for row in rows])
+            lplus = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    lplus[i][j] = lplus[j][i] = Fraction(n * s * inv[i][j] - d, n * d)
         self._setup(graph, lplus)
 
     def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]]) -> None:

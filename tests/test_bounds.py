@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +204,51 @@ class TestRandomSearch:
         cfg2 = SearchConfig(samples=12, seed=2, workers=2)
         assert [r.graph_id for r in random_search(cfg1)] == \
             [r.graph_id for r in random_search(cfg2)]
+
+    def test_config_validated(self):
+        for kwargs in ({"samples": 0}, {"workers": 0}, {"vertices": (4, 3)},
+                       {"edges": (5, 4)}, {"genus": (3, 2)}, {"vertices": (0, 2)},
+                       {"vertices": (3, 3), "edges": (20, 20), "genus": (2, 2)}):
+            with pytest.raises(ValueError):
+                SearchConfig(**kwargs)
+
+    def test_feasibility_by_enumeration(self):
+        # a config is accepted exactly when some (target, v, e) passes the
+        # sampler's rules; an accepted one then samples within its ranges
+        rng = random.Random(31)
+
+        def enumerated(cfg):
+            for v in range(cfg.vertices[0], cfg.vertices[1] + 1):
+                for e in range(max(v, cfg.edges[0]), max(v, cfg.edges[1]) + 1):
+                    g = e - v + 1
+                    if (v == 1 and e > 1) or (cfg.simple_only
+                                              and e > v * (v - 1) // 2):
+                        continue
+                    if any(g <= t <= g + v * cfg.max_q
+                           for t in range(cfg.genus[0], cfg.genus[1] + 1)):
+                        return True
+            return False
+
+        accepted = 0
+        for _ in range(400):
+            lo = [rng.randint(0, 5), rng.randint(1, 5), rng.randint(0, 8)]
+            hi = [x + rng.randint(0, 3) for x in lo]
+            kwargs = dict(genus=(lo[0], hi[0]), vertices=(lo[1], hi[1]),
+                          edges=(lo[2], hi[2]), max_q=rng.randint(0, 2),
+                          simple_only=rng.random() < 0.3)
+            try:
+                cfg = SearchConfig(**kwargs)
+            except ValueError:
+                assert not enumerated(SimpleNamespace(**kwargs)), kwargs
+                continue
+            assert enumerated(cfg), kwargs
+            accepted += 1
+            pg = random_pm_graph(rng, cfg)
+            v, e = pg.graph.num_vertices, pg.graph.num_edges
+            assert cfg.vertices[0] <= v <= cfg.vertices[1]
+            assert max(v, cfg.edges[0]) <= e <= max(v, cfg.edges[1])
+            assert cfg.genus[0] <= pg.pm_genus() <= cfg.genus[1]
+        assert 100 <= accepted <= 350
 
     def test_graph_id_stable(self):
         pg = fam.complete_equal(4)

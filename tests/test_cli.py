@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +234,31 @@ class TestSearch:
         payload = json.loads(out)
         assert len(payload) == 5
         assert all(not entry["violations"] for entry in payload)
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--samples", "-1"), ("--samples", "0"),
+        ("--vertices", "5:3"), ("--edges", "9:4"), ("--genus", "4:2"),
+        ("--vertices", "0:3"),
+        ("--vertices", "3:3", "--edges", "20:20", "--genus", "2:2"),
+        ("--vertices", "1:1", "--edges", "2:5"),
+        ("--workers", "0"), ("--workers", "-3"),
+        ("--workers", str((os.cpu_count() or 1) + 1)),
+    ])
+    def test_bad_input_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "search", "--backend", "rational", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert "randrange" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_golden_output(self, capsys, fmt):
+        # rational search output, byte for byte
+        code, out, _ = run(capsys, "search", "--samples", "20", "--seed", "3",
+                           "--backend", "rational", "--format", fmt)
+        assert code == 0
+        assert out.encode() == (GOLDEN / "search" / f"search.{fmt}").read_bytes()
 
 
 class TestExport:

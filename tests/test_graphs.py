@@ -164,6 +164,10 @@ class TestNormalizeSuppress:
         g = k4()
         assert g.normalized() is g
 
+    def test_built_once_per_instance(self):
+        g = circle_loop()
+        assert g.normalized() is g.normalized()
+
     def test_derived_ids_deterministic(self):
         n1 = circle_loop().normalized()
         n2 = circle_loop().normalized()

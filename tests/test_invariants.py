@@ -17,7 +17,8 @@ from mginv.invariants import (LAMBDA_ROUTES, PHI_ROUTES, TAU_METHODS,
                               lambda_invariant, phi, quick_report, tau, theta,
                               xy)
 from mginv.network import Network, network_for
-from tests.conftest import random_lengths, random_simple_bridgeless
+from tests.conftest import (mixed_graph, random_lengths,
+                            random_simple_bridgeless)
 
 F = Fraction
 
@@ -104,6 +105,24 @@ class TestContractionSums:
         invariant_report(fam.necklace(5, 2, F(11, 13)))  # and its normalization
         assert sizes == [5, 10]
 
+    def test_quick_report_inverts_once(self, monkeypatch):
+        # a loop and a parallel pair: theta reads the graph's own network,
+        # so the normalized graph is never inverted
+        import mginv.network as network
+        sizes = []
+        invert = network.invert_matrix
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return invert(rows)
+
+        monkeypatch.setattr(network, "invert_matrix", counted)
+        network._network.cache_clear()
+        pg = PMGraph.of(mixed_graph(), {"c": 1})
+        assert not pg.graph.is_simple
+        quick_report(pg)
+        assert sizes == [3]
+
 
 class TestTau:
     def test_circle_by_all_methods(self):
@@ -178,6 +197,38 @@ class TestTau:
                 assert tau_canonical_measure(g, base) == t
 
 
+def normalized_theta(pg: PMGraph):
+    """The double sum of w_a w_b r(a, b) over the normalized vertex set,
+    on a freshly inverted network: the test oracle for theta 'definition'."""
+    h = pg.normalized()
+    g = h.graph
+    r = Network(g).r
+    w = [h.canonical_weight(p) for p in g.vertices]
+    total = F(0)
+    for a in range(g.num_vertices):
+        for b in range(g.num_vertices):
+            total = total + w[a] * w[b] * r[a][b]
+    return total
+
+
+def theta_cases():
+    rng = random.Random(5150)
+    cases = [random_pm_graph(rng, cfg) for cfg in
+             [SearchConfig()] * 100
+             + [SearchConfig(vertices=(1, 6), edges=(1, 11), genus=(1, 6),
+                             max_q=2)] * 100]
+    cases += [
+        PMGraph.of(mixed_graph(), {"c": 1}),
+        PMGraph.of(fam.banana([F(1, 4), F(3, 4)]).graph, {"p": 1}),
+        fam.bouquet([F(1, 3), F(1, 6), F(1, 2)]),
+        fam.circle(F(5, 7)),
+        fam.necklace(4, 3),
+        PMGraph.of(MetrizedGraph.build(["p", "q"], [("p", "q", F(1))]),
+                   {"p": 1, "q": 1}),
+    ]
+    return cases
+
+
 class TestTheta:
     def test_k4_all_methods(self):
         pg = fam.complete_equal(4)
@@ -189,6 +240,18 @@ class TestTheta:
             pg = fam.necklace(v, n)
             expected = F(2 * (n - 1) ** 2 * (v * v - 1), 3 * n * n)
             assert theta(pg) == expected
+
+    def test_definition_matches_normalized_sum(self):
+        cases = theta_cases()
+        assert sum(not pg.graph.is_simple for pg in cases) >= 50
+        for pg in cases:
+            expected = normalized_theta(pg)
+            assert theta(pg) == expected
+            twin = pg.as_float()
+            got = theta(twin)
+            for ref in (normalized_theta(twin), float(expected)):
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * float(
+                    pg.graph.total_length()))
 
     def test_bouquet_zero(self):
         pg = fam.bouquet([F(1, 3), F(1, 3), F(1, 3)])

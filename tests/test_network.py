@@ -7,9 +7,10 @@ import pytest
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
 from mginv.bounds import SearchConfig, random_pm_graph
-from mginv.network import (Network, edge_circuit_data, matmul, network_for,
-                           resistance_matrix, resistance_oracle, voltage)
-from tests.conftest import random_simple_bridgeless
+from mginv.network import (Network, edge_circuit_data, invert_matrix, matmul,
+                           network_for, resistance_matrix, resistance_oracle,
+                           voltage)
+from tests.conftest import mixed_graph, random_simple_bridgeless
 
 F = Fraction
 
@@ -44,11 +45,90 @@ class TestLaplacian:
         assert network_for(fam.circle().graph).laplacian == [[F(0)]]
 
 
-def mixed_graph():
-    """A self-loop, a parallel pair and a plain cycle through c."""
-    return MetrizedGraph.build(("a", "b", "c"), [
-        ("a", "a", F(1, 3)), ("a", "b", F(1, 2)), ("a", "b", F(1, 4)),
-        ("b", "c", F(1, 5)), ("c", "a", F(1, 6))])
+def fraction_gauss_jordan(rows):
+    """Exact inverse by Gauss-Jordan over Fraction, first nonzero pivot;
+    the test oracle for the fraction-free elimination."""
+    n = len(rows)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular")
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def random_int_matrices(rng):
+    """Nonsingular integer matrices: SPD ones B B^T + I, non-symmetric
+    ones, and ones whose elimination meets a zero pivot."""
+    out = []
+    for n in range(1, 8):
+        b = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        out.append([[sum(x * y for x, y in zip(b[i], b[j])) + (i == j)
+                     for j in range(n)] for i in range(n)])
+        while True:
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            try:
+                fraction_gauss_jordan(m)
+            except ZeroDivisionError:
+                continue
+            out.append(m)
+            break
+    # a zero leading pivot, and a pivot that vanishes after the first step
+    out.append([[0, 1, 2], [1, 0, 3], [4, 5, 6]])
+    out.append([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    out.append([[0, 0, 3, 1], [0, 2, 1, 1], [5, 1, 1, 0], [1, 1, 0, 7]])
+    return out
+
+
+class TestInvertMatrix:
+    def test_integer_rows_against_fraction_gauss_jordan(self):
+        for m in random_int_matrices(random.Random(7)):
+            n, d = invert_matrix(m)
+            assert type(d) is int and d != 0
+            assert all(type(x) is int for row in n for x in row)
+            assert [[F(x, d) for x in row] for row in n] == fraction_gauss_jordan(m)
+
+    def test_integer_rows_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m in random_int_matrices(random.Random(8)):
+            n, d = invert_matrix(m)
+            expected = sympy.Matrix(m).inv()
+            assert [[F(x, d) for x in row] for row in n] == [
+                [F(int(expected[i, j].p), int(expected[i, j].q))
+                 for j in range(len(m))] for i in range(len(m))]
+
+    def test_determinant_up_to_sign(self):
+        sympy = pytest.importorskip("sympy")
+        for m in random_int_matrices(random.Random(9)):
+            _, d = invert_matrix(m)
+            assert abs(d) == abs(int(sympy.Matrix(m).det()))
+
+    def test_singular_raises(self):
+        for m in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 1]],
+                  [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+            with pytest.raises(GraphError, match="singular"):
+                invert_matrix(m)
+        with pytest.raises(GraphError, match="singular"):
+            invert_matrix([[1.0, 2.0], [2.0, 4.0]])
+
+    def test_fraction_rows_refused(self):
+        with pytest.raises(TypeError):
+            invert_matrix([[F(1, 2), F(0)], [F(0), F(1)]])
+
+    def test_float_rows(self):
+        for m in random_int_matrices(random.Random(10)):
+            n, d = invert_matrix([[float(x) for x in row] for row in m])
+            assert d == 1.0
+            for row, exact in zip(n, fraction_gauss_jordan(m)):
+                for x, y in zip(row, exact):
+                    assert x == pytest.approx(float(y), rel=1e-9, abs=1e-9)
 
 
 class TestPseudoInverse:
@@ -70,6 +150,18 @@ class TestPseudoInverse:
             l, p = net.laplacian, net.lplus
             assert matmul(matmul(l, p), l) == l
             assert matmul(matmul(p, l), p) == p
+
+    def test_matches_fraction_gauss_jordan(self, rng):
+        # the integer-scaled inversion against (L + J/v)^-1 - J/v in Fraction
+        cfg = SearchConfig(vertices=(1, 7), edges=(1, 12), genus=(1, 6), max_q=2)
+        graphs = [mixed_graph(), mixed_graph().normalized(), path2(F(7, 3))]
+        graphs += [random_pm_graph(rng, cfg).graph for _ in range(20)]
+        for g in graphs:
+            n = g.num_vertices
+            shifted = [[x + F(1, n) for x in row] for row in network_for(g).laplacian]
+            expected = [[x - F(1, n) for x in row]
+                        for row in fraction_gauss_jordan(shifted)]
+            assert Network(g).lplus == expected
 
     def test_symmetry_and_row_sums(self, rng):
         g = random_simple_bridgeless(rng).graph.normalized()
