@@ -22,9 +22,22 @@ pair. Contracting an edge is the opposite limit of the same update: shorting
 its endpoints (infinite conductance) gives ``Network.contracted`` in O(V^2),
 so the contraction formulas need no inversion beyond the parent's either.
 
+The circuit terms of an edge that do not depend on the base vertex (its
+endpoint indices, d_u and d_v of d = L+ (e_u - e_v), the denominator
+L_i - r(u, v) and the deleted-edge resistance R_i) are computed on first
+use and kept on the network, one small tuple per edge. Data per (edge,
+base) pair is not kept: it would make every memoized network V times
+larger.
+
+``is_moore_penrose`` checks L L+ L = L and L+ L L+ = L+ exactly in
+integers: with L = A/a and L+ = B/b over the lcms of their denominators,
+the identities read A B A = a b A and B A B = a b B.
+
 ``network_for`` memoizes one ``Network`` per graph and backend: a float
 graph and its rational twin compare and hash equal, so the backend is part
-of the key.
+of the key. A compute or verify run looks up at most two networks (the
+graph and its normalization) and a search sample one, never reused by a
+later sample, so the memo keeps the 16 most recent.
 
 An independent spanning-tree oracle (weighted matrix-tree / 2-forest
 identity, enumerated exhaustively) cross-checks the linear algebra.
@@ -128,6 +141,24 @@ def matmul(a, b) -> list[list[Scalar]]:
     return out
 
 
+def _clear_denominators(rows, *extra: int) -> tuple[list[list[int]], int]:
+    """``(A, a)`` with rows = A / a for a matrix of fractions: a is the lcm
+    of the entries' denominators and of ``extra``."""
+    a = lcm(*extra, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (a // x.denominator) for x in row] for row in rows], a
+
+
+def is_moore_penrose(lap, pinv) -> bool:
+    """Whether L L+ L = L and L+ L L+ = L+ for the exact matrices ``lap``
+    and ``pinv``, checked in integers: with L = A/a and L+ = B/b, whether
+    A B A = a b A and B A B = a b B."""
+    a_int, a = _clear_denominators(lap)
+    b_int, b = _clear_denominators(pinv)
+    ab = a * b
+    return all(matmul(matmul(x, y), x) == [[ab * t for t in row] for row in x]
+               for x, y in ((a_int, b_int), (b_int, a_int)))
+
+
 def _laplacian_rows(graph: MetrizedGraph) -> list[list[Scalar]]:
     """Discrete Laplacian on ``graph.vertices``: loops skipped, parallel
     conductances summed."""
@@ -200,11 +231,9 @@ class Network:
         else:
             # s (L + J/v) is an integer matrix M; with M^-1 = N/d,
             # L+ = s N/d - 1/v = (v s N - d) / (v d), and N is symmetric
-            s = lcm(n, *(x.denominator for row in rows for x in row))
+            scaled, s = _clear_denominators(rows, n)
             shift = s // n
-            inv, d = _invert_shifted(
-                [[x.numerator * (s // x.denominator) + shift for x in row]
-                 for row in rows])
+            inv, d = _invert_shifted([[x + shift for x in row] for row in scaled])
             lplus = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
@@ -222,6 +251,7 @@ class Network:
                 r[i][j] = r[j][i] = lplus[i][i] - 2 * lplus[i][j] + lplus[j][j]
         self.r = r
         self.sums: dict[tuple, Scalar] = {}
+        self._edge_terms: dict[int, tuple] = {}
 
     @property
     def laplacian(self) -> list[list[Scalar]]:
@@ -302,25 +332,40 @@ class Network:
         e = self.graph.edges[i]
         return self.deleted_resistance(i, e.u, e.v)
 
-    def circuit(self, i: int, p: str) -> EdgeCircuitData:
+    def _base_free_terms(self, i: int) -> tuple:
+        """(iu, iv, d_u, d_v, L_i - r(u, v), R_i) of the non-bridge edge i
+        = (u, v), with d = L+ (e_u - e_v); for a self-loop d and the
+        denominator are None and R_i = 0."""
         e = self.graph.edges[i]
+        iu, iv = self._idx[e.u], self._idx[e.v]
+        r_uv = self.r[iu][iv]
+        if e.is_loop:
+            return iu, iv, None, None, None, r_uv
+        lp = self.lplus
+        d_u, d_v = (lp[k][iu] - lp[k][iv] for k in (iu, iv))
+        denom = e.length - r_uv
+        c_uv = d_u - d_v
+        return iu, iv, d_u, d_v, denom, r_uv + c_uv * c_uv / denom
+
+    def circuit(self, i: int, p: str) -> EdgeCircuitData:
         if i in self.bridges:
             comp = self.graph.delete_edge(i)[0]  # side of e.u
             side = "u" if p in comp.vertex_index else "v"
             return EdgeCircuitData(i, p, True, side=side)
-        ip, iu, iv = self._idx[p], self._idx[e.u], self._idx[e.v]
-        r = self.r
-        r_pu, r_pv, r_uv = r[ip][iu], r[ip][iv], r[iu][iv]
-        if not e.is_loop:
-            # deleted_resistance for the three pairs, sharing d = L+ (e_u - e_v)
-            # and the denominator: r(x, y) gains (d_x - d_y)^2 / (L_i - r(u, v))
+        terms = self._edge_terms.get(i)
+        if terms is None:
+            terms = self._edge_terms[i] = self._base_free_terms(i)
+        iu, iv, d_u, d_v, denom, r_uv = terms
+        ip = self._idx[p]
+        r_pu, r_pv = self.r[ip][iu], self.r[ip][iv]
+        if denom is not None:
+            # deleted_resistance for the pairs (p, u) and (p, v): r(x, y)
+            # gains (d_x - d_y)^2 / (L_i - r(u, v))
             lp = self.lplus
-            d_p, d_u, d_v = (lp[k][iu] - lp[k][iv] for k in (ip, iu, iv))
-            denom = e.length - r_uv
-            c_pu, c_pv, c_uv = d_p - d_u, d_p - d_v, d_u - d_v
+            d_p = lp[ip][iu] - lp[ip][iv]
+            c_pu, c_pv = d_p - d_u, d_p - d_v
             r_pu = r_pu + c_pu * c_pu / denom
             r_pv = r_pv + c_pv * c_pv / denom
-            r_uv = r_uv + c_uv * c_uv / denom
         r_a = (r_pu + r_uv - r_pv) / 2
         r_b = (r_pv + r_uv - r_pu) / 2
         r_c = (r_pu + r_pv - r_uv) / 2
@@ -332,7 +377,7 @@ def network_for(graph: MetrizedGraph) -> Network:
     return _network(graph, graph.backend)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def _network(graph: MetrizedGraph, backend: str) -> Network:
     return Network(graph)
 

@@ -290,3 +290,48 @@ def test_golden_output(name, tmp_path, capsys):
     assert code == 0
     for matrix in ("L.csv", "Lplus.csv", "r.csv"):
         assert (outdir / matrix).read_bytes() == (expected / matrix).read_bytes(), matrix
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys):
+    # the parser is built once per process; every command parsed after
+    # others, an argparse error included, behaves as on a fresh parser
+    import mginv.cli as cli
+
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(pm_graph_to_json_dict(GOLDEN_GRAPHS["k4"])))
+    outdir = tmp_path / "mats"
+    calls = [
+        ("verify", "--graph", str(path)),
+        ("compute", "--graph", str(path), "--format", "csv"),
+        ("search", "--samples", "20", "--seed", "3", "--backend", "rational"),
+        ("export", "--graph", str(path), "--outdir", str(outdir)),
+        ("compute", "--graph", str(path), "--format", "xml"),
+        ("verify", "--graph", str(path)),
+    ]
+    golden = {0: GOLDEN / "k4" / "verify.json",
+              2: GOLDEN / "search" / "search.csv",
+              5: GOLDEN / "k4" / "verify.json"}
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    rounds = []
+    for _ in range(2):
+        results = [call(argv) for argv in calls]
+        assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 0]
+        for k, expected in golden.items():
+            assert results[k][1].encode() == expected.read_bytes(), calls[k]
+        for matrix in ("L.csv", "Lplus.csv", "r.csv"):
+            assert (outdir / matrix).read_bytes() == \
+                (GOLDEN / "k4" / matrix).read_bytes(), matrix
+        assert "invalid choice: 'xml'" in results[4][2]
+        rounds.append(results)
+    # calls without a golden file repeat their first output
+    assert rounds[1] == rounds[0]
+    assert cli._build_parser.cache_info().misses == 1

@@ -7,9 +7,9 @@ import pytest
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
 from mginv.bounds import SearchConfig, random_pm_graph
-from mginv.network import (Network, edge_circuit_data, invert_matrix, matmul,
-                           network_for, resistance_matrix, resistance_oracle,
-                           voltage)
+from mginv.network import (Network, edge_circuit_data, invert_matrix,
+                           is_moore_penrose, matmul, network_for,
+                           resistance_matrix, resistance_oracle, voltage)
 from tests.conftest import mixed_graph, random_simple_bridgeless
 
 F = Fraction
@@ -182,6 +182,58 @@ class TestPseudoInverse:
             assert sum(net.lplus[i][i] for i in range(v)) >= F((v - 1) ** 2) / tr_l
 
 
+def fraction_moore_penrose(lap, pinv):
+    """The first two Penrose identities by Fraction matrix products; the
+    test oracle for the integer check."""
+    return (matmul(matmul(lap, pinv), lap) == lap
+            and matmul(matmul(pinv, lap), pinv) == pinv)
+
+
+def moved_pair(pinv, i, j, delta=F(1, 1000)):
+    """``pinv`` with the symmetric pair of entries (i, j), (j, i) moved by
+    ``delta``."""
+    out = [list(row) for row in pinv]
+    out[i][j] += delta
+    if i != j:
+        out[j][i] += delta
+    return out
+
+
+class TestMoorePenroseCheck:
+    def graphs(self, rng):
+        cfg = SearchConfig(vertices=(1, 7), edges=(1, 12), genus=(1, 6), max_q=2)
+        one_vertex = MetrizedGraph.build(("a",), [("a", "a", F(2, 3))])
+        graphs = [mixed_graph(), mixed_graph().normalized(), one_vertex]
+        return graphs + [random_pm_graph(rng, cfg).graph for _ in range(50)]
+
+    def test_agrees_with_fraction_products(self, rng):
+        for g in self.graphs(rng):
+            net = network_for(g)
+            lap, pinv = net.laplacian, net.lplus
+            assert fraction_moore_penrose(lap, pinv)
+            assert is_moore_penrose(lap, pinv)
+            if len(pinv) > 1:
+                moved = moved_pair(pinv, 0, len(pinv) - 1)
+                assert is_moore_penrose(lap, moved) == fraction_moore_penrose(lap, moved)
+
+    def test_moved_pair_fails(self, rng):
+        for g in self.graphs(rng):
+            net = network_for(g)
+            n = len(net.lplus)
+            for i, j in combinations(range(n), 2):
+                assert not is_moore_penrose(net.laplacian, moved_pair(net.lplus, i, j))
+
+    def test_shift_by_j_fails_second_identity(self, rng):
+        # L J = J L = 0, so L (L+ + J) L = L still holds, but
+        # (L+ + J) L (L+ + J) = L+ differs from L+ + J
+        for g in self.graphs(rng)[:10]:
+            net = network_for(g)
+            lap = net.laplacian
+            shifted = [[x + 1 for x in row] for row in net.lplus]
+            assert matmul(matmul(lap, shifted), lap) == lap
+            assert not is_moore_penrose(lap, shifted)
+
+
 class TestResistance:
     def test_k4_all_pairs(self):
         r = resistance_matrix(fam.complete_equal(4).graph)
@@ -345,6 +397,69 @@ class TestCircuitData:
             edge_circuit_data(g, 0, "nope")
         with pytest.raises(GraphError, match="unknown"):
             resistance_oracle(g, "p", "nope")
+
+
+def circuit_reference(net, i, p):
+    """(r_i, r_a, r_b, r_c) of non-bridge edge i at base p from the three
+    deleted resistances r(p, u), r(p, v) and r(u, v), each the rank-one
+    update with d = L+ (e_u - e_v), recomputed in full for every base."""
+    e = net.graph.edges[i]
+    idx = net.graph.vertex_index
+    ip, iu, iv = idx[p], idx[e.u], idx[e.v]
+    r = net.r
+    r_pu, r_pv, r_uv = r[ip][iu], r[ip][iv], r[iu][iv]
+    if not e.is_loop:
+        lp = net.lplus
+        d_p, d_u, d_v = (lp[k][iu] - lp[k][iv] for k in (ip, iu, iv))
+        denom = e.length - r_uv
+        c_pu, c_pv, c_uv = d_p - d_u, d_p - d_v, d_u - d_v
+        r_pu = r_pu + c_pu * c_pu / denom
+        r_pv = r_pv + c_pv * c_pv / denom
+        r_uv = r_uv + c_uv * c_uv / denom
+    return (r_uv, (r_pu + r_uv - r_pv) / 2, (r_pv + r_uv - r_pu) / 2,
+            (r_pu + r_pv - r_uv) / 2)
+
+
+def exact_bits(values):
+    """Floats by their bit pattern (so 0.0 and -0.0 differ); others as is."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in values)
+
+
+class TestCircuitTerms:
+    def graphs(self, rng):
+        dumbbell = MetrizedGraph.build(
+            ("a", "b"), [("a", "a", F(1)), ("b", "b", F(1)), ("a", "b", F(1, 2))])
+        cfg = SearchConfig(vertices=(2, 6), edges=(3, 10), genus=(1, 5), max_q=2)
+        graphs = [mixed_graph(), dumbbell, fam.necklace(4, 3).graph]
+        graphs += [random_pm_graph(rng, cfg).graph for _ in range(8)]
+        return graphs + [g.as_float() for g in graphs]
+
+    @staticmethod
+    def visit(net, bases):
+        out = {}
+        for p in bases:
+            for i in range(net.graph.num_edges):
+                cd = net.circuit(i, p)
+                out[i, p] = (cd.is_bridge, cd.side) + exact_bits(
+                    (cd.r_i, cd.r_a, cd.r_b, cd.r_c))
+        return out
+
+    def test_independent_of_base_order(self, rng):
+        for g in self.graphs(rng):
+            forward = self.visit(Network(g), g.vertices)
+            fresh = Network(g)
+            backward = self.visit(fresh, g.vertices[::-1])
+            assert forward == backward
+            for (i, p), got in forward.items():
+                if i not in fresh.bridges:
+                    assert got[2:] == exact_bits(circuit_reference(fresh, i, p))
+
+    def test_one_entry_per_edge_none_for_bridges(self, rng):
+        for g in self.graphs(rng):
+            net = Network(g)
+            self.visit(net, g.vertices)
+            assert len(net._edge_terms) <= g.num_edges
+            assert set(net._edge_terms) == set(range(g.num_edges)) - net.bridges
 
 
 class TestOracle:
