@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .scalars import (RATIONAL, Scalar, ScalarError, backend_of,
+from .scalars import (FLOAT, RATIONAL, Scalar, ScalarError, backend_of,
                       format_scalar, parse_scalar)
 
 
@@ -54,9 +54,11 @@ class Edge:
 class Structure:
     """Bridge set, edge connectivity and irreducibility of a metrized graph.
 
-    ``edge_connectivity`` and ``is_irreducible`` are properties of the
-    underlying metric space (computed on the refined vertex set), while
-    ``bridges`` indexes edges of the graph as given.
+    ``bridges`` indexes edges of the graph as given. ``edge_connectivity``
+    and ``is_irreducible`` are properties of the underlying metric space,
+    both decided on the graph as given: a self-loop is cut once for the edge
+    connectivity, and for irreducibility a self-loop at a vertex of valence
+    > 2 makes that vertex a cut point (the loop hangs off it).
     """
 
     bridges: frozenset[int]
@@ -141,10 +143,12 @@ class MetrizedGraph:
 
     @cached_property
     def structure(self) -> Structure:
-        bridges = frozenset(_find_bridges(self.vertices, self.edges))
-        lam = _edge_connectivity(self)
-        irreducible = (not bridges) and not _has_cut_vertex(self.normalized())
-        return Structure(bridges, lam, irreducible)
+        bridges, cut_vertex = _lowpoint(self.vertices, self.edges)
+        # a self-loop at a vertex of valence > 2 makes that vertex a cut
+        # point of the metric space; a lone circle's vertex is not one
+        loop_cut = any(e.is_loop and self.valences[e.u] > 2 for e in self.edges)
+        irreducible = not (bridges or cut_vertex or loop_cut)
+        return Structure(frozenset(bridges), _edge_connectivity(self), irreducible)
 
     # -- transformations -------------------------------------------------
 
@@ -234,8 +238,10 @@ class MetrizedGraph:
                              tuple(Edge(e.u, e.v, e.length * t) for e in self.edges))
 
     def as_float(self) -> "MetrizedGraph":
-        return MetrizedGraph(self.vertices,
-                             tuple(Edge(e.u, e.v, float(e.length)) for e in self.edges))
+        """The same graph on the float backend; a length beyond float range
+        raises ``ScalarError``."""
+        return MetrizedGraph(self.vertices, tuple(
+            Edge(e.u, e.v, parse_scalar(e.length, FLOAT)) for e in self.edges))
 
     def _edge(self, i: int) -> Edge:
         if not 0 <= i < len(self.edges):
@@ -457,6 +463,8 @@ def pm_graph_from_json(data, backend: str = RATIONAL) -> PMGraph:
         raw_edges = data["edges"]
     except KeyError as exc:
         raise GraphError(f"graph JSON missing key {exc.args[0]!r}") from exc
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphError("graph JSON 'vertices' and 'edges' must be lists")
     vertices = []
     q = {}
     for item in raw_vertices:
@@ -512,6 +520,8 @@ def _split(e: Edge, i: int, pieces: int, taken: set[str]) -> tuple[list[str], li
 
 
 def _adjacency(vertices, edges) -> dict[str, list[tuple[str, int]]]:
+    """(neighbour, edge index) pairs per vertex; self-loops are left out,
+    as they change neither connectivity nor the lowpoints."""
     adj: dict[str, list[tuple[str, int]]] = {p: [] for p in vertices}
     for i, e in enumerate(edges):
         if e.is_loop:
@@ -538,82 +548,43 @@ def _component_of(start, vertices, edges) -> set[str]:
     return seen
 
 
-def _find_bridges(vertices, edges) -> list[int]:
-    """Iterative lowpoint DFS; parallel edges and self-loops are never
-    bridges because only the tree edge itself is skipped, not the vertex."""
+def _lowpoint(vertices, edges) -> tuple[list[int], bool]:
+    """Tarjan's (1972) iterative lowpoint DFS from ``vertices[0]`` (graphs
+    are connected); returns the bridges and whether some vertex is a cut
+    vertex. Only the tree edge itself is skipped, so a parallel edge is a
+    back edge: it is never a bridge and hides no cut vertex. The root is a
+    cut vertex when it has more than one DFS child, any other vertex when
+    some child's lowpoint does not reach above it."""
     adj = _adjacency(vertices, edges)
-    pre: dict[str, int] = {}
-    low: dict[str, int] = {}
+    root = vertices[0]
+    pre = {root: 0}
+    low = {root: 0}
     bridges: list[int] = []
-    counter = 0
-    for root in vertices:
-        if root in pre:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        pre[root] = low[root] = counter
-        counter += 1
-        while stack:
-            p, in_edge, it = stack[-1]
-            advanced = False
-            for nb, ei in it:
-                if ei == in_edge:
-                    continue
-                if nb not in pre:
-                    pre[nb] = low[nb] = counter
-                    counter += 1
-                    stack.append((nb, ei, iter(adj[nb])))
-                    advanced = True
-                    break
-                low[p] = min(low[p], pre[nb])
-            if advanced:
+    cut = False
+    root_children = 0
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        p, in_edge, it = stack[-1]
+        for nb, ei in it:
+            if ei == in_edge:
                 continue
+            if nb not in pre:
+                pre[nb] = low[nb] = len(pre)
+                stack.append((nb, ei, iter(adj[nb])))
+                break
+            low[p] = min(low[p], pre[nb])
+        else:
             stack.pop()
             if stack:
                 parent = stack[-1][0]
                 low[parent] = min(low[parent], low[p])
                 if low[p] == pre[p]:
                     bridges.append(in_edge)
-    return bridges
-
-
-def _has_cut_vertex(g: MetrizedGraph) -> bool:
-    """Articulation-point test on a simple graph (input must be normalized)."""
-    adj = _adjacency(g.vertices, g.edges)
-    pre: dict[str, int] = {}
-    low: dict[str, int] = {}
-    counter = 0
-    for root in g.vertices:
-        if root in pre:
-            continue
-        root_children = 0
-        pre[root] = low[root] = counter
-        counter += 1
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            p, parent, it = stack[-1]
-            advanced = False
-            for nb, _ in it:
-                if nb not in pre:
-                    pre[nb] = low[nb] = counter
-                    counter += 1
-                    if p == root:
-                        root_children += 1
-                    stack.append((nb, p, iter(adj[nb])))
-                    advanced = True
-                    break
-                if nb != parent:
-                    low[p] = min(low[p], pre[nb])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                par = stack[-1][0]
-                low[par] = min(low[par], low[p])
-                if par != root and low[p] >= pre[par]:
-                    return True
-        if root_children > 1:
-            return True
-    return False
+                if parent == root:
+                    root_children += 1
+                elif low[p] >= pre[parent]:
+                    cut = True
+    return bridges, cut or root_children > 1
 
 
 def _edge_connectivity(g: MetrizedGraph) -> int:

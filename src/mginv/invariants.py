@@ -221,9 +221,7 @@ def tau_crossterm(graph: MetrizedGraph, base: str | None = None) -> Scalar:
     p = base if base is not None else graph.vertices[0]
     if p not in graph.vertex_index:
         raise GraphError(f"unknown vertex {p!r}")
-    vertex_sum = Fraction(0)
-    for q in graph.vertices:
-        vertex_sum = vertex_sum + (graph.valences[q] - 2) * net.resistance(p, q)
+    vertex_sum = _valence_weighted(net, 2, lambda n, q: n.resistance(p, q))
     return graph.total_length() / 12 - vertex_sum / 6 + _rc_sum(net, p) / 3
 
 

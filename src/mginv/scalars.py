@@ -56,7 +56,7 @@ def parse_scalar(value, backend: str = RATIONAL) -> Scalar:
         if isinstance(value, str):
             return float(Fraction(value))
         return float(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ScalarError(f"cannot parse {value!r} as a float") from exc
 
 

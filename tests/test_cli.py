@@ -90,6 +90,24 @@ class TestCompute:
         assert "effective" in json.loads(err)["error"]["message"]
 
 
+    @pytest.mark.parametrize("command, graph, error", [
+        ("compute", {"vertices": 5, "edges": []}, "GraphError"),
+        ("compute", {"vertices": [{"id": "a"}], "edges": 3}, "GraphError"),
+        # exact on the rational backend, beyond float range on floats
+        ("verify", {"vertices": [{"id": "a"}, {"id": "b"}],
+                    "edges": [{"u": "a", "v": "b", "len": "1e400"},
+                              {"u": "a", "v": "b", "len": "1"}]}, "ScalarError"),
+    ], ids=["vertices_not_list", "edges_not_list", "length_beyond_float"])
+    def test_bad_graph_file(self, tmp_path, capsys, command, graph, error):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(graph))
+        code, out, err = run(capsys, command, "--graph", str(path),
+                             "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == error
+
+
 class TestVerify:
     def test_beta_verifies(self, tmp_path, capsys):
         path = tmp_path / "beta.json"
@@ -209,6 +227,13 @@ class TestFamily:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["phi"] == "17/288"
+
+    def test_length_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "family", "--kind", "banana",
+                             "--lengths", "1e400,1", "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ScalarError"
 
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "family", "--kind", "necklace_Cvn", "--v", "2",

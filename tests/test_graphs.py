@@ -21,10 +21,34 @@ def k4(total=F(1)):
     return fam.complete_equal(4, total).graph
 
 
+def bowtie(vertices):
+    """Triangles a-b-c and c-d-e sharing c, vertices listed in the given
+    order (the first is the DFS root)."""
+    return MetrizedGraph.build(vertices, [
+        ("a", "b", F(1)), ("b", "c", F(1)), ("c", "a", F(1)),
+        ("c", "d", F(1)), ("d", "e", F(1)), ("e", "c", F(1))])
+
+
 def dumbbell(bridge=F(1, 2)):
     """Two unit circles joined by a bridge."""
     return MetrizedGraph.build(
         ("a", "b"), [("a", "a", F(1)), ("b", "b", F(1)), ("a", "b", bridge)])
+
+
+#: bridgeless graphs, and whether each is irreducible
+CUT_POINT_CASES = {
+    # two triangles sharing c: the DFS root has two children
+    "bowtie_at_root": (lambda: bowtie(("c", "a", "b", "d", "e")), False),
+    # the same bowtie rooted at a: c's child has its lowpoint at c
+    "bowtie_inside": (lambda: bowtie(("a", "b", "c", "d", "e")), False),
+    # a loop at a vertex of valence > 2 hangs off that vertex
+    "k4_with_loop": (lambda: MetrizedGraph.build(k4().vertices, [
+        (e.u, e.v, e.length) for e in k4().edges] + [("p2", "p2", F(1))]), False),
+    "banana_with_loop": (lambda: MetrizedGraph.build(("p", "q"), [
+        ("p", "q", F(1)), ("p", "q", F(1)), ("q", "q", F(1))]), False),
+    # a lone circle's vertex (valence 2) is no cut point
+    "lone_circle": (circle_loop, True),
+}
 
 
 class TestConstruction:
@@ -105,6 +129,13 @@ class TestStructure:
 
     def test_necklace_connectivity(self):
         assert fam.necklace(4, 2).graph.structure.edge_connectivity == 4
+
+    @pytest.mark.parametrize("name", sorted(CUT_POINT_CASES))
+    def test_cut_points(self, name):
+        graph, irreducible = CUT_POINT_CASES[name]
+        s = graph().structure
+        assert not s.bridges
+        assert s.is_irreducible is irreducible
 
 
 class TestDeleteContract:

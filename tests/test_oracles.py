@@ -1,5 +1,6 @@
 """Independent oracles from third-party packages: networkx for resistance
-distance, bridges and edge connectivity, sympy for the exact pseudo-inverse.
+distance, bridges, edge connectivity and cut points, sympy for the exact
+pseudo-inverse.
 Each test is skipped when its package is not installed."""
 
 import random
@@ -92,6 +93,63 @@ def test_structure_matches_networkx(k):
     assert struct.edge_connectivity == nx.stoer_wagner(weighted)[0]
     if graph.is_simple:
         assert struct.edge_connectivity == nx.edge_connectivity(g)
+
+
+def random_multigraph(rng: random.Random) -> MetrizedGraph:
+    """A random spanning tree on 1 to 7 vertices plus random extra edges
+    (self-loops, parallel edges, chords), then up to two pendant bridges,
+    some ending in a loop."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+    rng.shuffle(vs)
+    pairs = [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
+    for _ in range(rng.randint(0, 8)):
+        kind, a = rng.random(), rng.choice(vs)
+        if kind < 0.2:
+            pairs.append((a, a))
+        elif kind < 0.45 and pairs:
+            pairs.append(rng.choice(pairs))
+        else:
+            pairs.append((a, rng.choice(vs)))
+    for k in range(rng.choice([0, 0, 1, 2])):
+        w = f"w{k}"
+        pairs.append((rng.choice(vs), w))
+        vs.append(w)
+        if rng.random() < 0.5:
+            pairs.append((w, w))
+    rng.shuffle(pairs)
+    return MetrizedGraph.build(vs, [(u, v, F(1)) for u, v in pairs])
+
+
+def irreducible_by_networkx(nx, graph: MetrizedGraph) -> bool:
+    """No bridge, and no cut vertex once loops and parallel edges are
+    subdivided away."""
+    if graph.structure.bridges:
+        return False
+    h = graph.normalized()
+    return not any(nx.articulation_points(to_networkx(nx, h)))
+
+
+@pytest.mark.parametrize("k", range(len(GRAPHS)))
+def test_irreducible_matches_networkx(k):
+    nx = pytest.importorskip("networkx")
+    graph = GRAPHS[k]
+    assert graph.structure.is_irreducible == irreducible_by_networkx(nx, graph)
+
+
+def test_irreducible_matches_networkx_random():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4141)
+    seen = set()
+    for _ in range(400):
+        graph = random_multigraph(rng)
+        expected = irreducible_by_networkx(nx, graph)
+        # every vertex in turn as the DFS root (the first vertex)
+        for k in range(graph.num_vertices):
+            rooted = MetrizedGraph(graph.vertices[k:] + graph.vertices[:k], graph.edges)
+            assert rooted.structure.is_irreducible == expected, rooted
+        seen.add((expected, bool(graph.structure.bridges)))
+    # irreducible, bridgeless but reducible, and bridged graphs all occur
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize("k", range(len(GRAPHS)))

@@ -31,6 +31,14 @@ def test_parse_rejects():
         parse_scalar("1/2", "decimal")
 
 
+def test_parse_float_out_of_range():
+    # beyond float range is an input error, not an OverflowError
+    with pytest.raises(ScalarError):
+        parse_scalar("1e400", FLOAT)
+    with pytest.raises(ScalarError):
+        parse_scalar(10 ** 400, FLOAT)
+
+
 @given(st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000)))
 def test_format_parse_round_trip(x):
     assert parse_scalar(format_scalar(x)) == x
