@@ -27,7 +27,8 @@ from .families import FAMILY_KINDS, FamilySpec, family_reference, make_family
 from .graphs import GraphError, PMGraph, pm_graph_from_json, pm_graph_to_json_dict
 from .invariants import (CrossValidationError, identity_checks,
                          invariant_report)
-from .scalars import FLOAT, RATIONAL, ScalarError, format_scalar, parse_scalar
+from .scalars import (FLOAT, RATIONAL, REL_TOL, ScalarError, format_scalar,
+                      parse_scalar)
 
 
 def main(argv=None) -> int:
@@ -155,7 +156,9 @@ def _cmd_verify(args) -> int:
         _emit(args, json.dumps({"ok": False, "checks": results}, indent=2) + "\n")
         return 1
     for name, residual in identity_checks(pg, report):
-        good = residual == 0 if exact else abs(float(residual)) <= 1e-10
+        # the genus identity sums dimensionless terms, the others lengths
+        scale = report.genus if name == "genus_identity" else report.ell
+        good = residual == 0 if exact else abs(float(residual)) <= REL_TOL * scale
         ok &= good
         results.append({"check": f"identity:{name}", "ok": good,
                         "residual": format_scalar(residual)})
@@ -198,7 +201,8 @@ def _cmd_family(args) -> int:
     exact = args.backend == RATIONAL
     for key, ref in reference.items():
         got = computed[key]
-        match = got == ref if exact else abs(float(got) - float(ref)) <= 1e-10
+        match = (got == ref if exact
+                 else abs(float(got) - float(ref)) <= REL_TOL * report.ell)
         ok &= match
         table.append({"invariant": key, "reference": format_scalar(ref, args.decimals),
                       "computed": format_scalar(got, args.decimals), "match": match})

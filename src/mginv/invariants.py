@@ -6,7 +6,11 @@ backend, to a relative 1e-10 on floats. The tau constant has four routes:
 
 * ``edges``       - edge-by-edge sum over circuit data of the deleted edge;
                     works on any connected graph (a bridge contributes the
-                    limiting summand 3 L_i).
+                    limiting summand 3 L_i). The x/y split of
+                    sum L_i R_i/(L_i+R_i) sums the same circuit data, so
+                    both read one memoized edge pass per base vertex; their
+                    formulas stay distinct. On the rational backend the pass
+                    runs in integers on L+ = P / D, one fraction per summand.
 * ``laplacian``   - discrete-Laplacian pseudo-inverse formula on an optimal
                     vertex set; any connected graph.
 * ``crossterm``   - total length, valence-weighted resistances to a base
@@ -101,6 +105,84 @@ def _ab_rc_sum(net: Network, p: str) -> Scalar:
     return total
 
 
+@_memoized
+def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
+    """(12 tau, x, y) at base p, in one pass over the edges.
+
+    The tau 'edges' route and the x/y split are distinct sums over the same
+    circuit data of each deleted edge (R_i and r_a - r_b), so one pass
+    computes that data once per edge for all three. A bridge adds 3 L_i to
+    12 tau and L_i to y, a self-loop L_i to 12 tau.
+    """
+    if net.integer is not None:
+        return _edge_sums_integer(net, p)
+    t = x = y = Fraction(0)
+    for i, e in enumerate(net.graph.edges):
+        ln = e.length
+        if i in net.bridges:
+            t = t + 3 * ln
+            y = y + ln
+            continue
+        cd = net.circuit(i, p)
+        diff = cd.r_a - cd.r_b
+        denom = (ln + cd.r_i) ** 2
+        t = t + (ln ** 3 + 3 * ln * diff * diff) / denom
+        # diff * diff above and ** 2 here: each float sum keeps its own
+        # rounding, so tau and x/y stay the values of their own formulas
+        diff2 = (cd.r_a - cd.r_b) ** 2
+        x = x + (ln * ln * cd.r_i + Fraction(3, 4) * ln * cd.r_i ** 2
+                 - Fraction(3, 4) * ln * diff2) / denom
+        y = y + (Fraction(1, 4) * ln * cd.r_i ** 2
+                 + Fraction(3, 4) * ln * diff2) / denom
+    return t, x, y
+
+
+def _edge_sums_integer(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
+    """``_edge_sums`` on L+ = P / D in integers, one fraction per summand.
+
+    For edge i = (u, v) with L_i = a/b, let rho_xy = P_xx - 2 P_xy + P_yy
+    (so r(x, y) = rho_xy / D), d_x = P_xu - P_xv, K = a D - b rho_uv and
+    E = D K. The deleted-edge R_i and r_a - r_b are Rn / E and Dn / E with
+    Rn = rho_uv K + b (d_u - d_v)^2 and
+    Dn = (rho_pu - rho_pv) K + b ((d_p - d_u)^2 - (d_p - d_v)^2). With
+    Q = (a E + b Rn)^2 the summands of 12 tau, x and y are
+    a (a^2 E^2 + 3 b^2 Dn^2) / (b Q), a (4 a Rn E + 3 b (Rn^2 - Dn^2)) / (4 Q)
+    and a b (Rn^2 + 3 Dn^2) / (4 Q). Since d_u - d_v = rho_uv, Rn = a D rho_uv
+    and a E + b Rn = a^2 D^2.
+    """
+    lp, den = net.integer
+    idx = net.graph.vertex_index
+    row_p = lp[idx[p]]
+    t = x = y = Fraction(0)
+    for i, e in enumerate(net.graph.edges):
+        ln = e.length
+        if i in net.bridges:
+            t = t + 3 * ln
+            y = y + ln
+            continue
+        if e.is_loop:
+            t = t + ln
+            continue
+        a, b = ln.numerator, ln.denominator
+        iu, iv = idx[e.u], idx[e.v]
+        row_u, row_v = lp[iu], lp[iv]
+        d_u = row_u[iu] - row_u[iv]
+        d_v = row_v[iu] - row_v[iv]
+        d_p = row_p[iu] - row_p[iv]
+        rho_uv = d_u - d_v
+        k = a * den - b * rho_uv
+        big_e = den * k
+        rn = a * den * rho_uv
+        # rho_pu - rho_pv = P_uu - P_vv - 2 d_p
+        dn = ((row_u[iu] - row_v[iv] - 2 * d_p) * k
+              + b * ((d_p - d_u) ** 2 - (d_p - d_v) ** 2))
+        q = (a * a * den * den) ** 2
+        t = t + Fraction(a * (a * a * big_e * big_e + 3 * b * b * dn * dn), b * q)
+        x = x + Fraction(a * (4 * a * rn * big_e + 3 * b * (rn * rn - dn * dn)), 4 * q)
+        y = y + Fraction(a * b * (rn * rn + 3 * dn * dn), 4 * q)
+    return t, x, y
+
+
 def _contraction_rc_sums(net: Network) -> tuple[Scalar, ...]:
     """For each edge i = (u, v), the r_c sum of the graph with edge i
     contracted, at the merged vertex u: sum over edges j of the contraction
@@ -136,6 +218,14 @@ def _valence_weighted(net: Network, pivot: int, f) -> Scalar:
         if val != pivot:
             total = total + (val - pivot) * f(net, q)
     return total
+
+
+def _base(graph: MetrizedGraph, base: str | None) -> str:
+    """The base vertex of a circuit sum: ``base``, or the first vertex."""
+    p = base if base is not None else graph.vertices[0]
+    if p not in graph.vertex_index:
+        raise GraphError(f"unknown vertex {p!r}")
+    return p
 
 
 def _check_bridgeless(graph: MetrizedGraph, what: str) -> None:
@@ -178,20 +268,7 @@ def tau(graph: MetrizedGraph, method: str = "edges", base: str | None = None) ->
 def tau_edges(graph: MetrizedGraph, base: str | None = None) -> Scalar:
     """Sum over edges of (L^3 + 3 L (r_a - r_b)^2) / (L + R)^2, divided by
     twelve; the summand of a bridge degenerates to 3 L."""
-    net = network_for(graph)
-    p = base if base is not None else graph.vertices[0]
-    if p not in graph.vertex_index:
-        raise GraphError(f"unknown vertex {p!r}")
-    total = Fraction(0)
-    for i, e in enumerate(graph.edges):
-        if i in net.bridges:
-            total = total + 3 * e.length
-            continue
-        cd = net.circuit(i, p)
-        diff = cd.r_a - cd.r_b
-        denom = (e.length + cd.r_i) ** 2
-        total = total + (e.length ** 3 + 3 * e.length * diff * diff) / denom
-    return total / 12
+    return _edge_sums(network_for(graph), _base(graph, base))[0] / 12
 
 
 def tau_laplacian(graph: MetrizedGraph) -> Scalar:
@@ -218,9 +295,7 @@ def tau_crossterm(graph: MetrizedGraph, base: str | None = None) -> Scalar:
     """ell/12 - (1/6) sum (val(q)-2) r(base,q) + (1/3) sum L_i/(L_i+R_i) r_c."""
     _check_bridgeless(graph, "tau method 'crossterm'")
     net = network_for(graph)
-    p = base if base is not None else graph.vertices[0]
-    if p not in graph.vertex_index:
-        raise GraphError(f"unknown vertex {p!r}")
+    p = _base(graph, base)
     vertex_sum = _valence_weighted(net, 2, lambda n, q: n.resistance(p, q))
     return graph.total_length() / 12 - vertex_sum / 6 + _rc_sum(net, p) / 3
 
@@ -445,24 +520,7 @@ def xy(graph: MetrizedGraph, base: str | None = None) -> tuple[Scalar, Scalar]:
     A bridge contributes (0, L_i), the limit of the defining sums. The
     result does not depend on the base vertex used for the circuit data.
     """
-    net = network_for(graph)
-    p = base if base is not None else graph.vertices[0]
-    if p not in graph.vertex_index:
-        raise GraphError(f"unknown vertex {p!r}")
-    x = Fraction(0)
-    y = Fraction(0)
-    for i, e in enumerate(graph.edges):
-        ln = e.length
-        if i in net.bridges:
-            y = y + ln
-            continue
-        cd = net.circuit(i, p)
-        denom = (ln + cd.r_i) ** 2
-        diff2 = (cd.r_a - cd.r_b) ** 2
-        x = x + (ln * ln * cd.r_i + Fraction(3, 4) * ln * cd.r_i ** 2
-                 - Fraction(3, 4) * ln * diff2) / denom
-        y = y + (Fraction(1, 4) * ln * cd.r_i ** 2
-                 + Fraction(3, 4) * ln * diff2) / denom
+    _, x, y = _edge_sums(network_for(graph), _base(graph, base))
     return x, y
 
 

@@ -13,6 +13,14 @@ to an integer matrix, which fraction-free Gauss-Jordan elimination (Bareiss
 1968) inverts in integers as N/d; each entry of L+ is then the one fraction
 (v s N_ij - d) / (v d). On floats, Gauss-Jordan runs with partial pivoting.
 
+The integer numerators stay on the network as ``Network.integer`` = (P, D),
+with P_ij = v s N_ij - d and D = v d, so that L+ = P / D: the tau and x/y
+edge pass works on them in integers and forms one fraction per summand.
+Every rational network that ``Network(graph)`` inverts has them (a
+one-vertex graph has P = [[0]] and D = 1); float networks and the
+``contracted`` networks, whose L+ is a rank-one update in fractions, have
+``integer`` None, and the edge pass reads ``circuit`` on them.
+
 Effective resistances between vertices come from the pseudo-inverse. The
 per-edge circuit data needed by the invariant formulas lives in the graph
 with one edge's interior deleted; instead of re-inverting for every edge,
@@ -214,7 +222,9 @@ class Network:
     ``lplus`` is the Moore-Penrose pseudo-inverse of ``laplacian`` (on a
     ``contracted`` network, a generalized inverse with the same resistances)
     and ``r`` the matrix of effective resistances, all aligned with
-    ``graph.vertices``. ``sums`` holds scalar sums that the invariant
+    ``graph.vertices``. ``integer`` is ``(P, D)`` with L+ = P / D, P an
+    integer matrix, on the rational backend; it is None on floats and on
+    ``contracted`` networks. ``sums`` holds scalar sums that the invariant
     formulas derive from the network, keyed by formula and base vertex, so
     each is computed once per network.
     """
@@ -222,8 +232,11 @@ class Network:
     def __init__(self, graph: MetrizedGraph):
         rows = _laplacian_rows(graph)
         n = len(rows)
+        integer = None
         if n == 1:
             lplus = [[Fraction(0)]]
+            if graph.backend != FLOAT:
+                integer = [[0]], 1
         elif graph.backend == FLOAT:
             jv = Fraction(1, n)
             inv, _ = _invert_shifted([[x + jv for x in row] for row in rows])
@@ -234,16 +247,22 @@ class Network:
             scaled, s = _clear_denominators(rows, n)
             shift = s // n
             inv, d = _invert_shifted([[x + shift for x in row] for row in scaled])
+            den = n * d
+            num = [[None] * n for _ in range(n)]
             lplus = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    lplus[i][j] = lplus[j][i] = Fraction(n * s * inv[i][j] - d, n * d)
-        self._setup(graph, lplus)
+                    num[i][j] = num[j][i] = n * s * inv[i][j] - d
+                    lplus[i][j] = lplus[j][i] = Fraction(num[i][j], den)
+            integer = num, den
+        self._setup(graph, lplus, integer)
 
-    def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]]) -> None:
+    def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]],
+               integer: tuple[list[list[int]], int] | None) -> None:
         self.graph = graph
         self._idx = graph.vertex_index
         self.lplus = lplus
+        self.integer = integer
         n = len(lplus)
         r = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -293,7 +312,7 @@ class Network:
                 kb = keep[b]
                 lplus[a][b] = lplus[b][a] = lp[ka][kb] - d[ka] * scaled[kb]
         net = Network.__new__(Network)
-        net._setup(graph, lplus)
+        net._setup(graph, lplus, None)
         net.bridges = frozenset(j - (j > i) for j in self.bridges if j != i)
         return net
 

@@ -25,6 +25,12 @@ GOLDEN_GRAPHS = {
         ("b", "c", F(1, 5)), ("c", "a", F(1, 6))]), {"c": 1}),
 }
 
+#: K4 with lengths (1, 2, 3, 5, 7, 11)/29, so of total length 1
+K4_SKEW = PMGraph.of(MetrizedGraph.build(("a", "b", "c", "d"), [
+    (u, v, F(k, 29)) for (u, v), k in zip(
+        (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")),
+        (1, 2, 3, 5, 7, 11))]))
+
 
 @pytest.fixture
 def k4_file(tmp_path):
@@ -152,6 +158,19 @@ class TestVerify:
         # margins well clear of zero keep their float values
         assert "." in bounds["bound:xy_sum"]["margin"]
 
+    @pytest.mark.parametrize("scale", ["1/100000", "1", "1000000", "10000000"])
+    def test_float_tolerance_relative(self, scale, tmp_path, capsys):
+        # float residuals of the length identities grow with ell: at 1e7 the
+        # xy_sum_lr and phi_defining residuals are 4.7e-10, 4.7e-17 ell. The
+        # genus identity is dimensionless: at 1e-5 its residual is 8e-11
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(pm_graph_to_json_dict(K4_SKEW.scaled(F(scale)))))
+        code, out, _ = run(capsys, "verify", "--graph", str(path), "--backend", "float")
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks if not c["ok"]] == []
+        assert code == 0
+        assert sum(c["check"].startswith("identity:") for c in checks) == 5
+
     def test_work_count(self, tmp_path, capsys, monkeypatch):
         # one inversion per vertex set, and the report is built once and
         # shared by the identity checks and the bound suite
@@ -227,6 +246,15 @@ class TestFamily:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["phi"] == "17/288"
+
+    @pytest.mark.parametrize("total", ["1", "10000000", "100000000"])
+    def test_float_match_relative(self, total, capsys):
+        # a float value is compared with its closed form relative to ell
+        code, out, _ = run(capsys, "family", "--kind", "necklace_Cvn", "--v", "4",
+                           "--n", "2", "--total", total, "--backend", "float")
+        payload = json.loads(out)
+        assert [r["invariant"] for r in payload["comparison"] if not r["match"]] == []
+        assert code == 0
 
     def test_length_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "family", "--kind", "banana",

@@ -123,6 +123,24 @@ class TestContractionSums:
         quick_report(pg)
         assert sizes == [3]
 
+    @pytest.mark.parametrize("to_float", [False, True], ids=["rational", "float"])
+    def test_quick_report_circuit_calls(self, to_float, monkeypatch):
+        # tau 'edges' and x/y share one edge pass: the integer pass makes
+        # no circuit call, the float pass one per edge (the loop included)
+        import mginv.network as network
+        calls = []
+        circuit = network.Network.circuit
+
+        def counted(net, i, p):
+            calls.append((i, p))
+            return circuit(net, i, p)
+
+        monkeypatch.setattr(network.Network, "circuit", counted)
+        network._network.cache_clear()
+        pg = PMGraph.of(mixed_graph(), {"c": 1})
+        quick_report(pg.as_float() if to_float else pg)
+        assert calls == ([(i, "a") for i in range(5)] if to_float else [])
+
 
 class TestTau:
     def test_circle_by_all_methods(self):
@@ -227,6 +245,119 @@ def theta_cases():
                    {"p": 1, "q": 1}),
     ]
     return cases
+
+
+def reference_tau_edges(net, p):
+    """tau 'edges' summed edge by edge from ``EdgeCircuitData``, kept as the
+    oracle of the shared edge pass, with the float operations in its order."""
+    total = F(0)
+    for i, e in enumerate(net.graph.edges):
+        if i in net.bridges:
+            total = total + 3 * e.length
+            continue
+        cd = net.circuit(i, p)
+        diff = cd.r_a - cd.r_b
+        denom = (e.length + cd.r_i) ** 2
+        total = total + (e.length ** 3 + 3 * e.length * diff * diff) / denom
+    return total / 12
+
+
+def reference_xy(net, p):
+    """x/y summed edge by edge from ``EdgeCircuitData``, the oracle's twin."""
+    x = y = F(0)
+    for i, e in enumerate(net.graph.edges):
+        ln = e.length
+        if i in net.bridges:
+            y = y + ln
+            continue
+        cd = net.circuit(i, p)
+        denom = (ln + cd.r_i) ** 2
+        diff2 = (cd.r_a - cd.r_b) ** 2
+        x = x + (ln * ln * cd.r_i + F(3, 4) * ln * cd.r_i ** 2
+                 - F(3, 4) * ln * diff2) / denom
+        y = y + (F(1, 4) * ln * cd.r_i ** 2 + F(3, 4) * ln * diff2) / denom
+    return x, y
+
+
+#: graphs with every kind of edge the shared pass treats apart
+EDGE_SUM_CASES = {
+    "mixed": mixed_graph,
+    # two loops joined by a bridge
+    "dumbbell": lambda: MetrizedGraph.build(
+        ("a", "b"), [("a", "a", F(1)), ("b", "b", F(1)), ("a", "b", F(1, 2))]),
+    # two triangles joined by a bridge: bridges next to circuit edges
+    "bridged_triangles": lambda: MetrizedGraph.build(
+        ("a", "b", "c", "d", "e", "f"),
+        [("a", "b", F(1, 3)), ("b", "c", F(2, 5)), ("c", "a", F(1, 7)),
+         ("c", "d", F(3, 2)), ("d", "e", F(1, 4)), ("e", "f", F(5, 6)),
+         ("f", "d", F(2, 9))]),
+    "circle": lambda: fam.circle(F(3, 7)).graph,
+    "bouquet": lambda: fam.bouquet([F(1, 3), F(2, 5), F(1)]).graph,
+    "C4,3": lambda: fam.necklace(4, 3, F(5)).graph,
+    "K4_q": lambda: PMGraph.of(MetrizedGraph.build(
+        ("a", "b", "c", "d"),
+        [(u, v, F(k, 29)) for (u, v), k in zip(
+            (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")),
+            (1, 2, 3, 5, 7, 11))]), {"a": 1, "c": 2}).graph,
+    "point": lambda: MetrizedGraph.build(["p"], []),
+}
+
+
+class TestEdgeSums:
+    """tau 'edges' and x/y read one memoized pass: in integers on L+ = P/D
+    for rational networks, in one float loop otherwise."""
+
+    @staticmethod
+    def check(graph):
+        for g in (graph, graph.as_float()):
+            # an edgeless graph stays rational under as_float
+            assert (network_for(g).integer is not None) == (g.backend == "rational")
+            oracle = Network(g)
+            for p in g.vertices:
+                got = (tau(g, "edges", p), *xy(g, p))
+                ref = (reference_tau_edges(oracle, p), *reference_xy(oracle, p))
+                # exact on rationals, bit for bit on floats
+                assert got == ref, p
+                assert [type(v) for v in got] == [type(v) for v in ref], p
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SUM_CASES))
+    def test_named_graphs(self, name):
+        self.check(EDGE_SUM_CASES[name]())
+
+    def test_random_graphs(self, rng):
+        cfg = SearchConfig()
+        for _ in range(50):
+            self.check(random_pm_graph(rng, cfg).graph)
+
+    def test_one_pass_per_base(self):
+        # tau 'edges' and x/y at one base share one memo entry
+        g = fam.necklace(3, 2).graph
+        net = network_for(g)
+        net.sums.clear()
+        tau(g, "edges")
+        xy(g)
+        xy(g, "p2")
+        assert sorted(k for k in net.sums if k[0] == "_edge_sums") == [
+            ("_edge_sums", "p1"), ("_edge_sums", "p2")]
+
+    def test_contracted_network_has_no_integer_form(self):
+        net = network_for(fam.complete_equal(4).graph)
+        assert net.integer is not None
+        assert net.contracted(0).integer is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32), st.integers(-9, 9))
+def test_quick_report_scales_exactly(seed, k):
+    # every invariant is homogeneous of degree 1 in the lengths; scaling by
+    # 10^k drives the integer pass through very large and very small D
+    pg = random_pm_graph(random.Random(seed), SearchConfig())
+    t = F(10) ** k
+    r0, r1 = quick_report(pg), quick_report(pg.scaled(t))
+    for name in ("ell", "tau", "theta", "epsilon", "a", "phi", "lam", "x", "y"):
+        assert getattr(r1, name) == t * getattr(r0, name), name
+    assert r1.delta == {i: t * v for i, v in r0.delta.items()}
+    assert (r1.genus, r1.pm_genus) == (r0.genus, r0.pm_genus)
 
 
 class TestTheta:
