@@ -192,7 +192,11 @@ def _cmd_family(args) -> int:
     pg = make_family(spec)
     if args.backend == FLOAT:
         pg = pg.as_float()
-    report = invariant_report(pg)
+    try:
+        report = invariant_report(pg)
+    except CrossValidationError as exc:
+        _error("CrossValidationError", str(exc))
+        return 1
     reference = family_reference(spec)
     computed = {"tau": report.tau, "theta": report.theta, "phi": report.phi,
                 "lambda": report.lam, "x": report.x, "y": report.y}

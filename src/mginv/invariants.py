@@ -9,8 +9,7 @@ backend, to a relative 1e-10 on floats. The tau constant has four routes:
                     limiting summand 3 L_i). The x/y split of
                     sum L_i R_i/(L_i+R_i) sums the same circuit data, so
                     both read one memoized edge pass per base vertex; their
-                    formulas stay distinct. On the rational backend the pass
-                    runs in integers on L+ = P / D, one fraction per summand.
+                    formulas stay distinct.
 * ``laplacian``   - discrete-Laplacian pseudo-inverse formula on an optimal
                     vertex set; any connected graph.
 * ``crossterm``   - total length, valence-weighted resistances to a base
@@ -28,6 +27,14 @@ applicability. A route that does not apply to a graph raises
 the only statement of which routes apply. ``invariant_report`` runs every
 route, skips those that raise ``NotApplicable``, checks agreement and
 base-vertex independence, and returns the audit trail.
+
+On the rational backend every sum over deleted-edge circuit data of a
+network with L+ = P / D (``Network.integer``) runs in integers on the
+per-edge terms of ``Network.integer_edges``: the tau/x/y edge pass, B_p and
+A_p, sum L_i R_i/(L_i + R_i), the R_i/(L_i + R_i) factor of the contraction
+sum and the genus identity, with one fraction per summand (or per sum).
+Float networks and the one-edge contractions, whose L+ is a rank-one update
+in fractions, go through ``Network.circuit`` and ``edge_resistance``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from math import lcm
 
 from .graphs import GraphError, MetrizedGraph, PMGraph
 from .network import Network, network_for
@@ -72,7 +80,14 @@ def _memoized(fn):
 
 @_memoized
 def _sum_lr(net: Network) -> Scalar:
-    """sum of L_i R_i / (L_i + R_i); a bridge contributes its length L_i."""
+    """sum of L_i R_i / (L_i + R_i); a bridge contributes its length L_i.
+
+    Each summand is r(u_i, v_i), the edge in parallel with the rest of the
+    graph, so on L+ = P / D the sum is one fraction: sum of rho_uv over D.
+    """
+    if net.integer is not None:
+        return Fraction(sum(rho_uv for *_, rho_uv, _ in net.integer_edges),
+                        net.integer[1])
     total = Fraction(0)
     for i, e in enumerate(net.graph.edges):
         if i in net.bridges:
@@ -85,9 +100,37 @@ def _sum_lr(net: Network) -> Scalar:
     return total
 
 
+def _deleted_numerators(net: Network, p: str):
+    """Per edge i = (u, v), on L+ = P / D: (a, b, rho_uv, K, n_pu, n_pv)
+    from ``Network.integer_edges``, with n_px = rho_px K + b (d_p - d_x)^2,
+    so that n_px / (D K) is the resistance from p to x with the interior of
+    edge i deleted."""
+    lp, _ = net.integer
+    ip = net.graph.vertex_index[p]
+    row_p = lp[ip]
+    p_pp = row_p[ip]
+    for a, b, iu, iv, d_u, d_v, rho_uv, k in net.integer_edges:
+        d_p = row_p[iu] - row_p[iv]
+        rho_pu = p_pp - 2 * row_p[iu] + lp[iu][iu]
+        rho_pv = p_pp - 2 * row_p[iv] + lp[iv][iv]
+        yield (a, b, rho_uv, k, rho_pu * k + b * (d_p - d_u) ** 2,
+               rho_pv * k + b * (d_p - d_v) ** 2)
+
+
 @_memoized
 def _rc_sum(net: Network, p: str) -> Scalar:
-    """B_p = sum of L_i r_c(i, p) / (L_i + R_i) over all edges (bridgeless)."""
+    """B_p = sum of L_i r_c(i, p) / (L_i + R_i) over all edges (bridgeless).
+
+    On L+ = P / D each summand is n_c / (2 a D^2) with
+    n_c = n_pu + n_pv - a D rho_uv (see ``_deleted_numerators``; a self-loop
+    gives r(p, u)), so B_p is one fraction over 2 A D^2, A = lcm of the a.
+    """
+    if net.integer is not None:
+        den = net.integer[1]
+        scale = lcm(*(a for a, *_ in net.integer_edges))
+        total = sum(scale // a * (n_pu + n_pv - a * den * rho_uv)
+                    for a, _, rho_uv, _, n_pu, n_pv in _deleted_numerators(net, p))
+        return Fraction(total, 2 * den * den * scale)
     total = Fraction(0)
     for i, e in enumerate(net.graph.edges):
         cd = net.circuit(i, p)
@@ -97,7 +140,23 @@ def _rc_sum(net: Network, p: str) -> Scalar:
 
 @_memoized
 def _ab_rc_sum(net: Network, p: str) -> Scalar:
-    """A_p = sum of (r_a r_b + R_i r_c) / (L_i + R_i) over all edges."""
+    """A_p = sum of (r_a r_b + R_i r_c) / (L_i + R_i) over all edges.
+
+    On L+ = P / D, with M = a D rho_uv, the arms r_a, r_b and r_c are
+    n_a, n_b and n_c over 2 D K, where n_a = n_pu - n_pv + M,
+    n_b = n_pv - n_pu + M and n_c = n_pu + n_pv - M, and the summand is
+    b (n_a n_b + 2 M n_c) / (4 a^2 D^3 K); a self-loop adds 0.
+    """
+    if net.integer is not None:
+        den = net.integer[1]
+        total = Fraction(0)
+        for a, b, rho_uv, k, n_pu, n_pv in _deleted_numerators(net, p):
+            m = a * den * rho_uv
+            diff = n_pu - n_pv
+            # n_a n_b + 2 M n_c = M (2 (n_pu + n_pv) - M) - (n_pu - n_pv)^2
+            total = total + Fraction(b * (m * (2 * (n_pu + n_pv) - m) - diff * diff),
+                                     a * a * k)
+        return total / (4 * den ** 3)
     total = Fraction(0)
     for i, e in enumerate(net.graph.edges):
         cd = net.circuit(i, p)
@@ -140,41 +199,26 @@ def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
 def _edge_sums_integer(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
     """``_edge_sums`` on L+ = P / D in integers, one fraction per summand.
 
-    For edge i = (u, v) with L_i = a/b, let rho_xy = P_xx - 2 P_xy + P_yy
-    (so r(x, y) = rho_xy / D), d_x = P_xu - P_xv, K = a D - b rho_uv and
+    For edge i = (u, v) with the terms of ``Network.integer_edges``, let
     E = D K. The deleted-edge R_i and r_a - r_b are Rn / E and Dn / E with
     Rn = rho_uv K + b (d_u - d_v)^2 and
     Dn = (rho_pu - rho_pv) K + b ((d_p - d_u)^2 - (d_p - d_v)^2). With
     Q = (a E + b Rn)^2 the summands of 12 tau, x and y are
     a (a^2 E^2 + 3 b^2 Dn^2) / (b Q), a (4 a Rn E + 3 b (Rn^2 - Dn^2)) / (4 Q)
     and a b (Rn^2 + 3 Dn^2) / (4 Q). Since d_u - d_v = rho_uv, Rn = a D rho_uv
-    and a E + b Rn = a^2 D^2.
+    and a E + b Rn = a^2 D^2. A bridge (K = 0) and a self-loop (u = v) need
+    no case of their own: the summands reduce to (3 L_i, 0, L_i) and
+    (L_i, 0, 0).
     """
     lp, den = net.integer
-    idx = net.graph.vertex_index
-    row_p = lp[idx[p]]
+    row_p = lp[net.graph.vertex_index[p]]
     t = x = y = Fraction(0)
-    for i, e in enumerate(net.graph.edges):
-        ln = e.length
-        if i in net.bridges:
-            t = t + 3 * ln
-            y = y + ln
-            continue
-        if e.is_loop:
-            t = t + ln
-            continue
-        a, b = ln.numerator, ln.denominator
-        iu, iv = idx[e.u], idx[e.v]
-        row_u, row_v = lp[iu], lp[iv]
-        d_u = row_u[iu] - row_u[iv]
-        d_v = row_v[iu] - row_v[iv]
+    for a, b, iu, iv, d_u, d_v, rho_uv, k in net.integer_edges:
         d_p = row_p[iu] - row_p[iv]
-        rho_uv = d_u - d_v
-        k = a * den - b * rho_uv
         big_e = den * k
         rn = a * den * rho_uv
         # rho_pu - rho_pv = P_uu - P_vv - 2 d_p
-        dn = ((row_u[iu] - row_v[iv] - 2 * d_p) * k
+        dn = ((lp[iu][iu] - lp[iv][iv] - 2 * d_p) * k
               + b * ((d_p - d_u) ** 2 - (d_p - d_v) ** 2))
         q = (a * a * den * den) ** 2
         t = t + Fraction(a * (a * a * big_e * big_e + 3 * b * b * dn * dn), b * q)
@@ -202,9 +246,18 @@ def _contraction_rc_sums(net: Network) -> tuple[Scalar, ...]:
 @_memoized
 def _contraction_sum(net: Network) -> Scalar:
     """sum over edges i of R_i / (L_i + R_i) times the r_c sum of the
-    contraction of edge i, the term shared by the contraction formulas."""
+    contraction of edge i, the term shared by the contraction formulas.
+
+    On L+ = P / D the factor R_i / (L_i + R_i) is b rho_uv / (a D).
+    """
+    inners = _contraction_rc_sums(net)
     total = Fraction(0)
-    for i, (e, inner) in enumerate(zip(net.graph.edges, _contraction_rc_sums(net))):
+    if net.integer is not None:
+        den = net.integer[1]
+        for (a, b, *_, rho_uv, _), inner in zip(net.integer_edges, inners):
+            total = total + Fraction(b * rho_uv, a * den) * inner
+        return total
+    for i, (e, inner) in enumerate(zip(net.graph.edges, inners)):
         r = net.edge_resistance(i)
         total = total + r / (e.length + r) * inner
     return total
@@ -527,9 +580,16 @@ def xy(graph: MetrizedGraph, base: str | None = None) -> tuple[Scalar, Scalar]:
 def genus_identity_residual(graph: MetrizedGraph) -> Scalar:
     """sum of L_i/(L_i + R_i) minus the genus; identically zero.
 
-    Bridges contribute the limit value zero of their summand.
+    Bridges contribute the limit value zero of their summand. On
+    L+ = P / D each summand is K / (a D) (1 on a self-loop, 0 on a bridge),
+    so the sum is one fraction over A D, A = lcm of the a.
     """
     net = network_for(graph)
+    if net.integer is not None:
+        terms = net.integer_edges
+        scale = lcm(*(a for a, *_ in terms))
+        return (Fraction(sum(scale // a * k for a, *_, k in terms),
+                         scale * net.integer[1]) - graph.genus())
     total = Fraction(0)
     for i, e in enumerate(graph.edges):
         if i in net.bridges:

@@ -14,12 +14,16 @@ to an integer matrix, which fraction-free Gauss-Jordan elimination (Bareiss
 (v s N_ij - d) / (v d). On floats, Gauss-Jordan runs with partial pivoting.
 
 The integer numerators stay on the network as ``Network.integer`` = (P, D),
-with P_ij = v s N_ij - d and D = v d, so that L+ = P / D: the tau and x/y
-edge pass works on them in integers and forms one fraction per summand.
-Every rational network that ``Network(graph)`` inverts has them (a
-one-vertex graph has P = [[0]] and D = 1); float networks and the
-``contracted`` networks, whose L+ is a rank-one update in fractions, have
-``integer`` None, and the edge pass reads ``circuit`` on them.
+with P_ij = v s N_ij - d and D = v d, so that L+ = P / D. Every rational
+network that ``Network(graph)`` inverts has them (a one-vertex graph has
+P = [[0]] and D = 1); float networks and the ``contracted`` networks, whose
+L+ is a rank-one update in fractions, have ``integer`` None.
+``Network.integer_edges`` keeps, once per network, the base-free integer
+terms of every edge (see there). The invariant formulas read them for
+every sum over deleted-edge circuit data (tau 'edges' and x/y, B_p, A_p,
+sum L_i R_i/(L_i + R_i), the contraction factor and the genus identity)
+and form one fraction per summand or per sum; ``circuit`` and
+``edge_resistance`` serve float and ``contracted`` networks only.
 
 Effective resistances between vertices come from the pseudo-inverse. The
 per-edge circuit data needed by the invariant formulas lives in the graph
@@ -32,10 +36,10 @@ so the contraction formulas need no inversion beyond the parent's either.
 
 The circuit terms of an edge that do not depend on the base vertex (its
 endpoint indices, d_u and d_v of d = L+ (e_u - e_v), the denominator
-L_i - r(u, v) and the deleted-edge resistance R_i) are computed on first
-use and kept on the network, one small tuple per edge. Data per (edge,
-base) pair is not kept: it would make every memoized network V times
-larger.
+L_i - r(u, v) and the deleted-edge resistance R_i; or their integer forms)
+are computed on first use and kept on the network, one small tuple per
+edge. Data per (edge, base) pair is not kept: it would make every memoized
+network V times larger.
 
 ``is_moore_penrose`` checks L L+ L = L and L+ L L+ = L+ exactly in
 integers: with L = A/a and L+ = B/b over the lcms of their denominators,
@@ -281,6 +285,24 @@ class Network:
     @cached_property
     def bridges(self) -> frozenset[int]:
         return self.graph.structure.bridges
+
+    @cached_property
+    def integer_edges(self) -> tuple[tuple[int, ...], ...]:
+        """(a, b, iu, iv, d_u, d_v, rho_uv, K) for each edge i = (u, v), on
+        a network with ``integer`` = (P, D): L_i = a/b, d_x = P_xu - P_xv,
+        rho_uv = d_u - d_v = D r(u, v) and K = a D - b rho_uv, so that
+        L_i - r(u, v) = K / (b D). A self-loop has d_u = d_v = rho_uv = 0
+        and K = a D, a bridge K = 0."""
+        lp, den = self.integer
+        out = []
+        for e in self.graph.edges:
+            a, b = e.length.numerator, e.length.denominator
+            iu, iv = self._idx[e.u], self._idx[e.v]
+            d_u = lp[iu][iu] - lp[iu][iv]
+            d_v = lp[iv][iu] - lp[iv][iv]
+            rho_uv = d_u - d_v
+            out.append((a, b, iu, iv, d_u, d_v, rho_uv, a * den - b * rho_uv))
+        return tuple(out)
 
     def contracted(self, i: int) -> Network:
         """Network of ``graph.contract_edge(i)``, without a new inversion.

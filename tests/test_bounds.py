@@ -56,6 +56,19 @@ class TestSuiteOnFamilies:
         assert named["lambda_floor"].margin == 0
         assert named["phi_v"].margin == 0            # sharp at the equal banana too
 
+    def test_banana_exact_zeros(self):
+        # the equal 3-edge banana of total length 1 pins genus 2: exactly
+        # these proved bounds hold with equality on rationals
+        checks = bound_suite(fam.banana([F(1, 3)] * 3))
+        zeros = {c.name for c in checks
+                 if c.applicable and c.proved and c.margin == 0}
+        assert zeros == {
+            "zhang_lower", "zhang_conj_lhs", "zhang_conj_rhs", "phi_t",
+            "phi_delta", "lambda_delta", "lambda_floor", "phi_i", "phi_v",
+            "xy_conn", "xy_gy", "xy_parabola"}
+        assert all(isinstance(c.margin, F) for c in checks
+                   if c.name in zeros)
+
     def test_bouquet_lambda_sharp(self):
         named = by_name(bound_suite(fam.bouquet([F(1, 2), F(1, 4), F(1, 4)])))
         assert named["lambda_floor"].margin == 0

@@ -263,6 +263,19 @@ class TestFamily:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ScalarError"
 
+    @pytest.mark.parametrize("kind, count", [("circle", None), ("banana", "3"),
+                                             ("bouquet", "3")])
+    def test_cross_validation_error_is_json(self, kind, count, capsys):
+        # at total 1e7 the float routes disagree (the float global-scale
+        # defect); the disagreement is reported as JSON, not a traceback
+        argv = ["family", "--kind", kind, "--total", "1e7", "--backend", "float"]
+        if count:
+            argv += ["--count", count]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "CrossValidationError"
+
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "family", "--kind", "necklace_Cvn", "--v", "2",
                            "--n", "2")

@@ -11,7 +11,8 @@ from mginv.bounds import SearchConfig, random_pm_graph
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
 from mginv.invariants import (LAMBDA_ROUTES, PHI_ROUTES, TAU_METHODS,
                               THETA_METHODS, CrossValidationError,
-                              NotApplicable, _contraction_rc_sums, _rc_sum,
+                              NotApplicable, _ab_rc_sum, _contraction_rc_sums,
+                              _contraction_sum, _rc_sum, _sum_lr,
                               a_invariant, epsilon, genus_identity_residual,
                               identity_checks, invariant_report,
                               lambda_invariant, phi, quick_report, tau, theta,
@@ -344,6 +345,128 @@ class TestEdgeSums:
         net = network_for(fam.complete_equal(4).graph)
         assert net.integer is not None
         assert net.contracted(0).integer is None
+
+
+def reference_rc_sum(net, p):
+    """B_p summed edge by edge from ``EdgeCircuitData``, kept as the oracle
+    of the integer sum, with the float operations in the float path's order."""
+    total = F(0)
+    for i, e in enumerate(net.graph.edges):
+        cd = net.circuit(i, p)
+        total = total + e.length * cd.r_c / (e.length + cd.r_i)
+    return total
+
+
+def reference_ab_rc_sum(net, p):
+    """A_p summed edge by edge from ``EdgeCircuitData``."""
+    total = F(0)
+    for i, e in enumerate(net.graph.edges):
+        cd = net.circuit(i, p)
+        total = total + (cd.r_a * cd.r_b + cd.r_i * cd.r_c) / (e.length + cd.r_i)
+    return total
+
+
+def reference_sum_lr(net):
+    """sum of L_i R_i / (L_i + R_i) from ``edge_resistance``."""
+    total = F(0)
+    for i, e in enumerate(net.graph.edges):
+        if i in net.bridges:
+            total = total + e.length
+        elif not e.is_loop:
+            r = net.edge_resistance(i)
+            total = total + e.length * r / (e.length + r)
+    return total
+
+
+def reference_genus_residual(net):
+    """sum of L_i / (L_i + R_i) over the non-bridges, minus the genus."""
+    total = F(0)
+    for i, e in enumerate(net.graph.edges):
+        if i not in net.bridges:
+            r = net.edge_resistance(i)
+            total = total + e.length / (e.length + r)
+    return total - net.graph.genus()
+
+
+def reference_contraction_sum(net):
+    """sum of R_i / (L_i + R_i) times the contraction's r_c sum."""
+    total = F(0)
+    for i, (e, inner) in enumerate(zip(net.graph.edges, _contraction_rc_sums(net))):
+        r = net.edge_resistance(i)
+        total = total + r / (e.length + r) * inner
+    return total
+
+
+#: bridgeless, with a self-loop, parallel edges and numerators a_i > 1
+LOOPED = MetrizedGraph.build(("a", "b", "c", "d"), [
+    ("a", "a", F(2, 3)), ("a", "b", F(3, 4)), ("a", "b", F(5, 7)),
+    ("b", "c", F(2, 5)), ("c", "d", F(7, 4)), ("d", "a", F(3, 2)),
+    ("a", "c", F(5, 6))])
+
+
+class TestCircuitSums:
+    """B_p, A_p, sum L_i R_i/(L_i+R_i), the genus identity and the
+    contraction sum: in integers on L+ = P/D for rational networks, through
+    ``circuit`` and ``edge_resistance`` otherwise."""
+
+    @staticmethod
+    def check(graph):
+        for g in (graph, graph.as_float()):
+            net, oracle = Network(g), Network(g)
+            pairs = [(_sum_lr(net), reference_sum_lr(oracle)),
+                     (genus_identity_residual(g), reference_genus_residual(oracle))]
+            if not g.structure.bridges:
+                for p in g.vertices:
+                    pairs.append((_rc_sum(net, p), reference_rc_sum(oracle, p)))
+                    pairs.append((_ab_rc_sum(net, p), reference_ab_rc_sum(oracle, p)))
+                    _rc_sum(net, p)
+                for name in ("_rc_sum", "_ab_rc_sum"):
+                    assert sorted(k for k in net.sums if k[0] == name) == sorted(
+                        (name, p) for p in g.vertices)
+                if not any(e.is_loop for e in g.edges):
+                    pairs.append((_contraction_sum(net),
+                                  reference_contraction_sum(oracle)))
+            # exact on rationals, bit for bit on floats
+            for got, ref in pairs:
+                assert got == ref
+                assert type(got) is type(ref)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SUM_CASES))
+    def test_named_graphs(self, name):
+        # on the bridged ones only sum L_i R_i/(L_i+R_i) and the genus
+        # identity apply
+        self.check(EDGE_SUM_CASES[name]())
+
+    def test_looped_graph(self):
+        self.check(LOOPED)
+        self.check(LOOPED.normalized())
+
+    def test_random_graphs(self, rng):
+        cfg = SearchConfig()
+        for _ in range(50):
+            g = random_pm_graph(rng, cfg).graph
+            self.check(g)
+            self.check(g.normalized())
+
+    @pytest.mark.parametrize("to_float", [False, True], ids=["rational", "float"])
+    def test_report_circuit_calls(self, to_float, monkeypatch):
+        # the rational report calls circuit only on the contracted networks,
+        # which have no integer form; the float report on every network
+        import mginv.network as network
+        calls = []
+        circuit = network.Network.circuit
+
+        def counted(net, i, p):
+            calls.append(net.integer is None)
+            return circuit(net, i, p)
+
+        monkeypatch.setattr(network.Network, "circuit", counted)
+        network._network.cache_clear()
+        pg = PMGraph.of(LOOPED)
+        rep = invariant_report(pg.as_float() if to_float else pg)
+        assert set(rep.tau_methods) == set(TAU_METHODS)
+        assert set(rep.theta_methods) == set(THETA_METHODS)
+        assert calls == [True] * (267 if to_float else 90)
 
 
 @settings(deadline=None, max_examples=40)
