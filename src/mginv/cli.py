@@ -36,7 +36,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ScalarError, ValueError) as exc:
+    # OverflowError: float lengths so long that a squared sum leaves the
+    # float range (a circle of length 1e200, say), an input the float
+    # backend cannot evaluate
+    except (GraphError, ScalarError, ValueError, OverflowError) as exc:
         _error(type(exc).__name__, str(exc))
         return 2
 

@@ -80,7 +80,7 @@ class MetrizedGraph:
         for e in self.edges:
             if e.u not in vset or e.v not in vset:
                 raise GraphError(f"edge ({e.u},{e.v}) has an unknown endpoint")
-        backend_of(e.length for e in self.edges)  # reject mixed backends
+        self.backend  # rejects mixed backends
         if not _connected(self.vertices, self.edges):
             raise GraphError("graph is not connected")
 
@@ -103,7 +103,7 @@ class MetrizedGraph:
     def vertex_index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.vertices)}
 
-    @property
+    @cached_property
     def backend(self) -> str:
         return backend_of(e.length for e in self.edges)
 
@@ -112,6 +112,11 @@ class MetrizedGraph:
         return self.num_edges - self.num_vertices + 1
 
     def total_length(self) -> Scalar:
+        """Sum of the edge lengths, summed once per instance."""
+        return self._total_length
+
+    @cached_property
+    def _total_length(self) -> Scalar:
         total = Fraction(0)
         for e in self.edges:
             total = total + e.length

@@ -33,8 +33,11 @@ network with L+ = P / D (``Network.integer``) runs in integers on the
 per-edge terms of ``Network.integer_edges``: the tau/x/y edge pass, B_p and
 A_p, sum L_i R_i/(L_i + R_i), the R_i/(L_i + R_i) factor of the contraction
 sum and the genus identity, with one fraction per summand (or per sum).
-Float networks and the one-edge contractions, whose L+ is a rank-one update
-in fractions, go through ``Network.circuit`` and ``edge_resistance``.
+Theta 'definition' runs on P / D too, as one fraction, so the single-route
+``quick_report`` of a search sample forms no fraction matrix (neither
+``Network.lplus`` nor ``Network.r``). Float networks and the one-edge
+contractions, whose L+ is a rank-one update in fractions, go through
+``Network.circuit`` and ``edge_resistance``.
 """
 
 from __future__ import annotations
@@ -386,10 +389,23 @@ def theta_definition(pg: PMGraph) -> Scalar:
     """Direct double sum over the vertex set as given, with resistances read
     off the Laplacian pseudo-inverse. It equals the sum over the normalized
     vertex set: the valence-2 points that normalizing inserts carry weight
-    zero, and the other vertices keep their weights and resistances."""
+    zero, and the other vertices keep their weights and resistances.
+
+    On L+ = P / D, with r_ab = (P_aa - 2 P_ab + P_bb) / D and W the sum of
+    the weights w, the double sum is one fraction:
+    (2 W sum_a w_a P_aa - 2 w^T P w) / D.
+    """
     g = pg.graph
-    r = network_for(g).r
+    net = network_for(g)
     weights = [pg.canonical_weight(p) for p in g.vertices]
+    if net.integer is not None:
+        lp, den = net.integer
+        support = [(a, w) for a, w in enumerate(weights) if w]
+        diag = sum(w * lp[a][a] for a, w in support)
+        cross = sum(wa * sum(wb * lp[a][b] for b, wb in support)
+                    for a, wa in support)
+        return Fraction(2 * sum(weights) * diag - 2 * cross, den)
+    r = net.r
     n = g.num_vertices
     total = Fraction(0)
     for a in range(n):

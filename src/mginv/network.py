@@ -16,8 +16,12 @@ to an integer matrix, which fraction-free Gauss-Jordan elimination (Bareiss
 The integer numerators stay on the network as ``Network.integer`` = (P, D),
 with P_ij = v s N_ij - d and D = v d, so that L+ = P / D. Every rational
 network that ``Network(graph)`` inverts has them (a one-vertex graph has
-P = [[0]] and D = 1); float networks and the ``contracted`` networks, whose
-L+ is a rank-one update in fractions, have ``integer`` None.
+P = [[0]] and D = 1), and keeps only them: the fraction matrices
+``lplus`` (P_ij / D) and ``r`` ((P_ii - 2 P_ij + P_jj) / D, formed without
+L+) are derived on first read, so a sum that runs on P / D builds neither.
+Float networks and the ``contracted`` networks, whose L+ is a rank-one
+update in fractions, have ``integer`` None and keep ``lplus`` from
+construction; their ``r`` is formed from it on first read.
 ``Network.integer_edges`` keeps, once per network, the base-free integer
 terms of every edge (see there). The invariant formulas read them for
 every sum over deleted-edge circuit data (tau 'edges' and x/y, B_p, A_p,
@@ -173,19 +177,20 @@ def is_moore_penrose(lap, pinv) -> bool:
 
 def _laplacian_rows(graph: MetrizedGraph) -> list[list[Scalar]]:
     """Discrete Laplacian on ``graph.vertices``: loops skipped, parallel
-    conductances summed."""
+    conductances summed. Entries no edge touches are the int 0, and the
+    first conductance of an entry is stored as is, with no addition to 0."""
     n = graph.num_vertices
     index = graph.vertex_index
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for e in graph.edges:
         if e.is_loop:
             continue
         a, b = index[e.u], index[e.v]
         c = 1 / e.length
-        rows[a][b] = rows[a][b] - c
-        rows[b][a] = rows[b][a] - c
-        rows[a][a] = rows[a][a] + c
-        rows[b][b] = rows[b][b] + c
+        off = rows[a][b]
+        rows[a][b] = rows[b][a] = off - c if off else -c
+        rows[a][a] = rows[a][a] + c if rows[a][a] else c
+        rows[b][b] = rows[b][b] + c if rows[b][b] else c
     return rows
 
 
@@ -228,53 +233,74 @@ class Network:
     and ``r`` the matrix of effective resistances, all aligned with
     ``graph.vertices``. ``integer`` is ``(P, D)`` with L+ = P / D, P an
     integer matrix, on the rational backend; it is None on floats and on
-    ``contracted`` networks. ``sums`` holds scalar sums that the invariant
-    formulas derive from the network, keyed by formula and base vertex, so
-    each is computed once per network.
+    ``contracted`` networks. ``r``, and ``lplus`` where ``integer`` is
+    set, are derived on first read and then kept. ``sums`` holds scalar
+    sums that the invariant formulas derive from the network, keyed by
+    formula and base vertex, so each is computed once per network.
     """
 
     def __init__(self, graph: MetrizedGraph):
         rows = _laplacian_rows(graph)
         n = len(rows)
-        integer = None
-        if n == 1:
-            lplus = [[Fraction(0)]]
-            if graph.backend != FLOAT:
-                integer = [[0]], 1
-        elif graph.backend == FLOAT:
-            jv = Fraction(1, n)
-            inv, _ = _invert_shifted([[x + jv for x in row] for row in rows])
-            lplus = [[x - jv for x in row] for row in inv]
+        if graph.backend == FLOAT:
+            if n == 1:
+                lplus = [[Fraction(0)]]
+            else:
+                jv = Fraction(1, n)
+                inv, _ = _invert_shifted([[x + jv for x in row] for row in rows])
+                lplus = [[x - jv for x in row] for row in inv]
+            self._setup(graph, lplus, None)
+        elif n == 1:
+            self._setup(graph, None, ([[0]], 1))
         else:
             # s (L + J/v) is an integer matrix M; with M^-1 = N/d,
             # L+ = s N/d - 1/v = (v s N - d) / (v d), and N is symmetric
             scaled, s = _clear_denominators(rows, n)
             shift = s // n
             inv, d = _invert_shifted([[x + shift for x in row] for row in scaled])
-            den = n * d
-            num = [[None] * n for _ in range(n)]
-            lplus = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    num[i][j] = num[j][i] = n * s * inv[i][j] - d
-                    lplus[i][j] = lplus[j][i] = Fraction(num[i][j], den)
-            integer = num, den
-        self._setup(graph, lplus, integer)
+            vs = n * s
+            num = [[vs * x - d for x in row] for row in inv]
+            self._setup(graph, None, (num, n * d))
 
-    def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]],
+    def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]] | None,
                integer: tuple[list[list[int]], int] | None) -> None:
+        """Keep ``lplus`` when given (float and ``contracted`` networks);
+        on rational networks it is derived from ``integer`` on first read."""
         self.graph = graph
         self._idx = graph.vertex_index
-        self.lplus = lplus
+        if lplus is not None:
+            self.lplus = lplus
         self.integer = integer
-        n = len(lplus)
+        self.sums: dict[tuple, Scalar] = {}
+        self._edge_terms: dict[int, tuple] = {}
+
+    @cached_property
+    def lplus(self) -> list[list[Scalar]]:
+        """L+ = P / D, formed on first read; float and ``contracted``
+        networks set it on construction."""
+        num, den = self.integer
+        n = len(num)
+        lplus = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                lplus[i][j] = lplus[j][i] = Fraction(num[i][j], den)
+        return lplus
+
+    @cached_property
+    def r(self) -> list[list[Scalar]]:
+        """Effective resistances r_ij = L+_ii - 2 L+_ij + L+_jj, formed on
+        first read; on L+ = P / D one fraction per entry, without L+."""
+        if self.integer is not None:
+            m, den = self.integer
+        else:
+            m, den = self.lplus, None
+        n = len(m)
         r = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                r[i][j] = r[j][i] = lplus[i][i] - 2 * lplus[i][j] + lplus[j][j]
-        self.r = r
-        self.sums: dict[tuple, Scalar] = {}
-        self._edge_terms: dict[int, tuple] = {}
+                x = m[i][i] - 2 * m[i][j] + m[j][j]
+                r[i][j] = r[j][i] = x if den is None else Fraction(x, den)
+        return r
 
     @property
     def laplacian(self) -> list[list[Scalar]]:

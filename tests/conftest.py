@@ -17,6 +17,18 @@ def random_simple_bridgeless(rng: random.Random, vmax=8, emax=14):
     return random_pm_graph(rng, cfg)
 
 
+def random_multigraph(rng: random.Random) -> MetrizedGraph:
+    """A random bridgeless multigraph (parallel edges allowed) with a
+    self-loop added and a pendant vertex "tail" hung on by a bridge."""
+    cfg = SearchConfig(vertices=(2, 6), edges=(3, 10), genus=(1, 5), max_q=2)
+    g = random_pm_graph(rng, cfg).graph
+    p, q = rng.choice(g.vertices), rng.choice(g.vertices)
+    edges = [(e.u, e.v, e.length) for e in g.edges]
+    edges += [(p, p, Fraction(rng.randint(1, 9), 7)),
+              (q, "tail", Fraction(rng.randint(1, 9), 5))]
+    return MetrizedGraph.build(g.vertices + ("tail",), edges)
+
+
 def mixed_graph():
     """A self-loop, a parallel pair and a plain cycle through c."""
     return MetrizedGraph.build(("a", "b", "c"), [

@@ -283,6 +283,38 @@ class TestFamily:
         assert "error" in json.loads(err)
 
 
+#: one loop of length 1e200: finite on floats, but its squared sums are not
+LONG_CIRCLE = PMGraph.of(MetrizedGraph.build(["p"], [("p", "p", F(10) ** 200)]))
+
+
+def long_circle_argv(command, tmp_path):
+    if command == "family":
+        return ["family", "--kind", "circle", "--total", "1e200"]
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(pm_graph_to_json_dict(LONG_CIRCLE)))
+    return [command, "--graph", str(path)]
+
+
+class TestFloatOverflow:
+    @pytest.mark.parametrize("command", ["compute", "verify", "family"])
+    def test_float_overflow_is_json(self, command, tmp_path, capsys):
+        # the float edge pass squares sums of order 1e200: an input error,
+        # reported as JSON with exit 2, not a traceback
+        code, out, err = run(capsys, *long_circle_argv(command, tmp_path),
+                             "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "OverflowError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "family"])
+    def test_rational_backend_unaffected(self, command, tmp_path, capsys):
+        code, out, err = run(capsys, *long_circle_argv(command, tmp_path))
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)
+
+
 class TestSearch:
     def test_csv_deterministic(self, capsys):
         args = ("search", "--genus", "2:3", "--samples", "15", "--seed", "7")

@@ -95,6 +95,28 @@ class TestGenusLengthValence:
         assert circle_loop().valences["p"] == 2
         assert fam.necklace(4, 3).graph.valences["p2"] == 6
 
+    def test_cached_total_length_and_backend(self, rng):
+        # both are kept per instance; each equals a fresh sum / inference,
+        # on the graphs every transformation returns too
+        from mginv.scalars import backend_of
+        from tests.conftest import random_multigraph
+        graphs = [random_multigraph(rng) for _ in range(8)]
+        graphs.append(MetrizedGraph.build(["p"], []))
+        for g in graphs:
+            derived = [g, g.scaled(F(7, 3)), g.as_float(), g.normalized(),
+                       g.as_float().normalized(), g.as_float().scaled(2.5)]
+            derived += [h.contract_edge(i) for h in derived[:3]
+                        for i in range(h.num_edges)]
+            for h in derived:
+                total = F(0)
+                for e in h.edges:
+                    total = total + e.length
+                assert h.total_length() is h.total_length()
+                assert h.total_length() == total
+                assert type(h.total_length()) is type(total)
+                assert h.backend == backend_of(e.length for e in h.edges)
+                assert "backend" in vars(h)
+
     def test_handshake(self, rng):
         from tests.conftest import random_simple_bridgeless
         for _ in range(10):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from mginv.invariants import (LAMBDA_ROUTES, PHI_ROUTES, TAU_METHODS,
                               identity_checks, invariant_report,
                               lambda_invariant, phi, quick_report, tau, theta,
                               xy)
-from mginv.network import Network, network_for
+from mginv.network import (ORACLE_EDGE_CAP, Network, network_for,
+                           resistance_oracle)
 from tests.conftest import (mixed_graph, random_lengths,
                             random_simple_bridgeless)
 
@@ -123,6 +125,30 @@ class TestContractionSums:
         assert not pg.graph.is_simple
         quick_report(pg)
         assert sizes == [3]
+
+    def test_quick_report_forms_no_fraction_matrix(self):
+        # a rational quick_report reads only P / D: neither L+ nor r is
+        # formed; floats keep L+ and read r, and the full report forms r on
+        # the graph (crossterm) and both on its normalization (laplacian,
+        # contractions)
+        import mginv.network as network
+        pg = PMGraph.of(mixed_graph(), {"c": 1})
+
+        def formed(g):
+            net = network_for(g)
+            assert net.sums  # the memoized network the report read
+            return {"lplus", "r"} & set(vars(net))
+
+        network._network.cache_clear()
+        quick_report(pg)
+        assert formed(pg.graph) == set()
+        network._network.cache_clear()
+        quick_report(pg.as_float())
+        assert formed(pg.graph.as_float()) == {"lplus", "r"}
+        network._network.cache_clear()
+        invariant_report(pg)
+        assert formed(pg.graph) == {"r"}
+        assert formed(pg.graph.normalized()) == {"lplus", "r"}
 
     @pytest.mark.parametrize("to_float", [False, True], ids=["rational", "float"])
     def test_quick_report_circuit_calls(self, to_float, monkeypatch):
@@ -535,6 +561,80 @@ class TestTheta:
         # a circle given as one loop normalizes to a triangle, so the
         # contraction methods do apply to it
         assert theta(fam.circle(), "third") == 0
+
+
+def reference_theta(pg: PMGraph, r) -> F:
+    """theta 'definition' as the double sum of w_a w_b r(a, b) over the
+    resistance matrix ``r``, zero weights skipped, in the float path's
+    order."""
+    w = [pg.canonical_weight(p) for p in pg.graph.vertices]
+    total = F(0)
+    for a, wa in enumerate(w):
+        if not wa:
+            continue
+        for b, wb in enumerate(w):
+            if wb:
+                total = total + wa * wb * r[a][b]
+    return total
+
+
+def oracle_theta(pg: PMGraph) -> F:
+    """The same double sum on spanning-tree resistances."""
+    g = pg.graph
+    support = [p for p in g.vertices if pg.canonical_weight(p)]
+    total = F(0)
+    for p, q in combinations(support, 2):
+        total += (2 * pg.canonical_weight(p) * pg.canonical_weight(q)
+                  * resistance_oracle(g, p, q))
+    return total
+
+
+def polarizations(graph: MetrizedGraph) -> list[PMGraph]:
+    """``graph`` with q = 1 where the canonical divisor needs it, and with
+    q raised further at the first and the last vertex."""
+    q = {p: 1 for p, val in graph.valences.items() if val < 2}
+    if graph.genus() + sum(q.values()) < 1:
+        q[graph.vertices[0]] = 1
+    more = dict(q)
+    more[graph.vertices[0]] = more.get(graph.vertices[0], 0) + 1
+    more[graph.vertices[-1]] = more.get(graph.vertices[-1], 0) + 2
+    return [PMGraph.of(graph, q), PMGraph.of(graph, more)]
+
+
+class TestThetaDefinition:
+    """theta 'definition' on L+ = P / D is one fraction,
+    (2 W sum w_a P_aa - 2 w^T P w) / D; on floats the double loop on r."""
+
+    @staticmethod
+    def cases():
+        cases = [pg for make in EDGE_SUM_CASES.values()
+                 for pg in polarizations(make())]
+        rng = random.Random(4242)
+        for _ in range(50):
+            pg = random_pm_graph(rng, SearchConfig())
+            cases += [pg, pg.normalized()]
+        return cases
+
+    def test_matches_double_sum(self):
+        cases = self.cases()
+        assert any(pg.graph.structure.bridges and pg.q_total for pg in cases)
+        assert any(pg.graph.num_vertices == 1 and not pg.graph.edges
+                   for pg in cases)
+        for pg in cases:
+            for twin in (pg, pg.as_float()):
+                got = theta(twin)
+                ref = reference_theta(twin, Network(twin.graph).r)
+                # exact on rationals, bit for bit on floats
+                assert got == ref
+                assert type(got) is type(ref)
+
+    def test_matches_oracle_resistances(self):
+        checked = 0
+        for pg in self.cases():
+            if pg.graph.num_edges <= ORACLE_EDGE_CAP:
+                assert theta(pg) == oracle_theta(pg)
+                checked += 1
+        assert checked >= 100
 
 
 class TestDerivedInvariants:

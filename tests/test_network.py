@@ -7,10 +7,12 @@ import pytest
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
 from mginv.bounds import SearchConfig, random_pm_graph
-from mginv.network import (Network, edge_circuit_data, invert_matrix,
-                           is_moore_penrose, matmul, network_for,
-                           resistance_matrix, resistance_oracle, voltage)
-from tests.conftest import mixed_graph, random_simple_bridgeless
+from mginv.network import (Network, _clear_denominators, edge_circuit_data,
+                           invert_matrix, is_moore_penrose, matmul,
+                           network_for, resistance_matrix, resistance_oracle,
+                           voltage)
+from tests.conftest import (mixed_graph, random_multigraph,
+                            random_simple_bridgeless)
 
 F = Fraction
 
@@ -555,6 +557,112 @@ class TestContracted:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             Network(fam.bouquet([F(1), F(2)]).graph).contracted(0)
+
+
+def eager_laplacian(graph):
+    """The Laplacian summed from zero fractions, every entry by addition."""
+    n = graph.num_vertices
+    idx = graph.vertex_index
+    rows = [[F(0)] * n for _ in range(n)]
+    for e in graph.edges:
+        if not e.is_loop:
+            a, b = idx[e.u], idx[e.v]
+            c = 1 / e.length
+            rows[a][b] = rows[a][b] - c
+            rows[b][a] = rows[b][a] - c
+            rows[a][a] = rows[a][a] + c
+            rows[b][b] = rows[b][b] + c
+    return rows
+
+
+def eager_symmetric(n, entry):
+    """entry(i, j) for j >= i, mirrored below the diagonal."""
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry(i, j)
+    return m
+
+
+def eager_resistances(lplus):
+    return eager_symmetric(len(lplus), lambda i, j: (
+        lplus[i][i] - 2 * lplus[i][j] + lplus[j][j]))
+
+
+def eager_matrices(graph):
+    """(L+, r, (P, D)) formed eagerly on construction, the reference for
+    the matrices a network derives on first read: on rationals every entry
+    of L+ is P_ij / D, and r_ij = L+_ii - 2 L+_ij + L+_jj on both backends."""
+    rows = eager_laplacian(graph)
+    n = len(rows)
+    integer = None
+    if n == 1:
+        lplus = [[F(0)]]
+        if graph.backend != "float":
+            integer = [[0]], 1
+    elif graph.backend == "float":
+        jv = F(1, n)
+        inv, _ = invert_matrix([[x + jv for x in row] for row in rows])
+        lplus = [[x - jv for x in row] for row in inv]
+    else:
+        scaled, s = _clear_denominators(rows, n)
+        inv, d = invert_matrix([[x + s // n for x in row] for row in scaled])
+        num = eager_symmetric(n, lambda i, j: n * s * inv[i][j] - d)
+        lplus = eager_symmetric(n, lambda i, j: F(num[i][j], n * d))
+        integer = num, n * d
+    return lplus, eager_resistances(lplus), integer
+
+
+def eager_contracted(graph, lplus, r, i):
+    """(L+, r) of the contraction of edge i by the short-circuit update."""
+    e = graph.edges[i]
+    iu, iv = graph.vertex_index[e.u], graph.vertex_index[e.v]
+    d = [row[iu] - row[iv] for row in lplus]
+    scaled = [x / r[iu][iv] for x in d]
+    keep = [k for k in range(len(lplus)) if k != iv]
+    short = eager_symmetric(len(keep), lambda a, b: (
+        lplus[keep[a]][keep[b]] - d[keep[a]] * scaled[keep[b]]))
+    return short, eager_resistances(short)
+
+
+def same_entries(got, ref):
+    """Equal entry by entry, floats bit for bit, with equal types."""
+    assert [exact_bits(row) for row in got] == [exact_bits(row) for row in ref]
+    assert [[type(x) for x in row] for row in got] == [
+        [type(x) for x in row] for row in ref]
+
+
+class TestLazyMatrices:
+    """A rational network keeps (P, D) and forms L+ and r on first read;
+    float and contracted networks keep L+ from construction."""
+
+    def graphs(self, rng):
+        graphs = [random_multigraph(rng) for _ in range(12)]
+        graphs += [mixed_graph(), fam.bouquet([F(1, 3), F(2, 5)]).graph,
+                   MetrizedGraph.build(["p"], [])]
+        return graphs + [g.as_float() for g in graphs]
+
+    def test_match_eager_formulas(self, rng):
+        for g in self.graphs(rng):
+            lplus, r, integer = eager_matrices(g)
+            net = Network(g)
+            assert net.integer == integer
+            assert "r" not in vars(net)
+            assert ("lplus" in vars(net)) == (integer is None)
+            # r first: on P / D it does not form L+
+            same_entries(net.r, r)
+            assert ("lplus" in vars(net)) == (integer is None)
+            same_entries(net.lplus, lplus)
+            # the builder's int zeros equal the fraction zeros
+            assert [exact_bits(row) for row in net.laplacian] == [
+                exact_bits(row) for row in eager_laplacian(g)]
+            for i, e in enumerate(g.edges):
+                if e.is_loop:
+                    continue
+                short = net.contracted(i)
+                ref_lplus, ref_r = eager_contracted(g, lplus, r, i)
+                same_entries(short.lplus, ref_lplus)
+                same_entries(short.r, ref_r)
 
 
 class TestNetworkCache:

@@ -1,15 +1,20 @@
-"""Byte-identity gate: the sha256 of rational ``compute`` and ``verify``
-stdout over a fixed, seeded set of graphs.
+"""Byte-identity gate: the sha256 of CLI stdout over fixed, seeded inputs.
 
-A change that is meant to leave exact output alone (a faster formula, a
-refactor) must keep this digest. A change that alters exact output on
-purpose records the new digest here and says why. The graphs are built
-in this file, so that nothing outside ``mginv`` feeds the gate.
+Covered: ``compute`` and ``verify`` over a seeded set of graphs, on the
+rational and on the float backend, and ``search`` in JSON and CSV at two
+seeds, on the default ranges and on wider ones, on both backends.
+
+A change that is meant to leave output alone (a faster formula, a
+refactor) must keep these digests. A change that alters output on purpose
+records the new digest here and says why. The graphs are built in this
+file, so that nothing outside ``mginv`` feeds the gate.
 """
 
 import hashlib
 import json
 import random
+
+import pytest
 
 from mginv.bounds import SearchConfig
 from mginv.cli import main
@@ -18,6 +23,21 @@ from mginv.graphs import MetrizedGraph, PMGraph, pm_graph_to_json_dict
 
 #: sha256 of the concatenated stdout of every (graph, command) below
 DIGEST = "59451829daedebc585026367fbd0d894083a20897b761f89ff2f65f2faaa24b6"
+#: the same over ``--backend float``
+FLOAT_DIGEST = "792a2976bca04e1f2c997fef46d86a38868095eaff3955e65c9c2d52b1f65e97"
+
+#: search runs: (seed, extra flags), each with ``--samples SEARCH_SAMPLES``
+SEARCH_RUNS = ((11, ()), (29, ()),
+               (11, ("--vertices", "3:9", "--edges", "4:16")),
+               (29, ("--vertices", "3:9", "--edges", "4:16")))
+SEARCH_SAMPLES = 100
+#: sha256 of the concatenated search stdout, per (backend, format)
+SEARCH_DIGESTS = {
+    ("rational", "json"): "3b5190429267235f401fd2021ec4395ae80234404766c22e78023a0de6d7b647",
+    ("rational", "csv"): "252b559534070107d90792511aa7d3a781f4df2c7d11137884f657591e94ac71",
+    ("float", "json"): "9f2a7a6d1a5e570959f6662fe2f2ac2b89fab34d2abe1acb9577ed6232c17793",
+    ("float", "csv"): "9f1b686ddc13c2413707eab3fcf761c9cebcb00eb5f0aaf9e4cd824b6f47b52d",
+}
 
 GRID = SearchConfig().lengths
 
@@ -75,14 +95,36 @@ def digest_graphs():
     return graphs
 
 
-def test_rational_output_digest(tmp_path, capsys):
+def _report_digest(tmp_path, capsys, *flags):
+    """sha256 of ``compute`` and ``verify`` stdout over ``digest_graphs``."""
     sha = hashlib.sha256()
     for name, pg in digest_graphs().items():
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(pm_graph_to_json_dict(pg)))
         for command in ("compute", "verify"):
-            code = main([command, "--graph", str(path)])
+            code = main([command, "--graph", str(path), *flags])
             out = capsys.readouterr().out
             assert code == 0, (name, command, out)
             sha.update(out.encode())
-    assert sha.hexdigest() == DIGEST
+    return sha.hexdigest()
+
+
+def test_rational_output_digest(tmp_path, capsys):
+    assert _report_digest(tmp_path, capsys) == DIGEST
+
+
+def test_float_output_digest(tmp_path, capsys):
+    assert _report_digest(tmp_path, capsys, "--backend", "float") == FLOAT_DIGEST
+
+
+@pytest.mark.parametrize("backend,fmt", sorted(SEARCH_DIGESTS))
+def test_search_output_digest(backend, fmt, capsys):
+    sha = hashlib.sha256()
+    for seed, flags in SEARCH_RUNS:
+        code = main(["search", "--backend", backend, "--format", fmt,
+                     "--seed", str(seed), "--samples", str(SEARCH_SAMPLES),
+                     *flags])
+        out = capsys.readouterr().out
+        assert code == 0, (seed, flags)
+        sha.update(out.encode())
+    assert sha.hexdigest() == SEARCH_DIGESTS[backend, fmt]
