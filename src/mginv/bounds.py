@@ -13,14 +13,17 @@ violation accounting.
 The genus-3 constant t(3) is irrational; on the rational backend it is kept
 as an exact ``Surd79`` so every verdict involving it is decided by sign
 analysis, never by floating point.
+
+Every ``mginv`` command imports this module, so it imports at module level
+only what every command needs: ``hashlib`` is imported by ``graph_id`` and
+the process pool by ``random_search`` with more than one worker, each on
+first use.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -380,6 +383,8 @@ class SearchResult:
 
 
 def graph_id(pg: PMGraph) -> str:
+    import hashlib  # imported here: start-up cost; only search uses it
+
     blob = json.dumps(pm_graph_to_json_dict(pg), sort_keys=True).encode()
     return hashlib.sha1(blob).hexdigest()[:12]
 
@@ -474,9 +479,15 @@ def random_search(cfg: SearchConfig) -> list[SearchResult]:
 
     Violations found on the float backend are never reported without an
     exact re-check. Results are merged order-independently (sorted by
-    margin, then graph id), so worker count does not affect output.
+    margin, then graph id), so worker count does not affect output. With
+    ``cfg.workers > 1`` the samples run in a ``ProcessPoolExecutor``,
+    imported on that first use: the ``multiprocessing`` stack it loads
+    would otherwise add to every command's start-up.
     """
     if cfg.workers > 1:
+        # imported here: start-up cost; only --workers > 1 uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_search_one, [cfg] * cfg.samples,
                                     range(cfg.samples), chunksize=8))

@@ -406,8 +406,14 @@ class PMGraph:
         A non-bridge edge has type 0. A bridge splits the graph into two
         components of pm-genus (i, gbar - i); its type is min(i, gbar - i).
         ``delta[i]`` is the total length of type-i edges, for every i from 0
-        to gbar // 2, and the deltas sum to the total length.
+        to gbar // 2, and the deltas sum to the total length. Typed once
+        per instance: every call returns the same tuple and dict, which
+        callers must not mutate.
         """
+        return self._edge_types
+
+    @cached_property
+    def _edge_types(self) -> tuple[tuple[int, ...], dict[int, Scalar]]:
         gbar = self.pm_genus()
         bridges = self.graph.structure.bridges
         types = []

@@ -333,6 +333,17 @@ class TestSearch:
         assert len(payload) == 5
         assert all(not entry["violations"] for entry in payload)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("seed", ["5", "11"])
+    def test_workers_output_identical(self, capsys, fmt, seed):
+        # the process pool merges to the one-worker output, byte for byte
+        args = ("search", "--samples", "24", "--seed", seed, "--format", fmt)
+        code1, out1, _ = run(capsys, *args, "--workers", "1")
+        code2, out2, _ = run(capsys, *args, "--workers", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert len(out1.splitlines()) > 24
 
     @pytest.mark.parametrize("argv", [
         ("--samples", "-1"), ("--samples", "0"),

@@ -335,6 +335,62 @@ class TestEdgeTypes:
             total = sum(delta.values())
             assert total == pg.graph.total_length()
 
+    @staticmethod
+    def bridged_cases(rng):
+        from tests.conftest import random_multigraph
+        cases = [PMGraph.of(dumbbell(F(1, 2))),
+                 PMGraph.of(MetrizedGraph.build(
+                     ("a", "b"), [("a", "a", F(1)), ("a", "a", F(1)),
+                                  ("a", "b", F(1))]), {"b": 1})]
+        cases += [PMGraph.of(random_multigraph(rng), {"tail": 1}) for _ in range(4)]
+        return cases
+
+    def test_typed_once_per_instance(self, rng):
+        fresh = PMGraph._edge_types.func
+        for base in self.bridged_cases(rng) + [fam.complete_equal(4)]:
+            for pg in (base, base.scaled(F(3, 7)), base.as_float(), base.normalized()):
+                first = pg.edge_types()
+                assert pg.edge_types() is first
+                assert first == fresh(pg)
+                counts = pg.edge_type_counts()
+                assert counts == {i: first[0].count(i) for i in counts}
+
+    def test_search_sample_types_once(self, monkeypatch):
+        from functools import cached_property
+
+        from mginv.bounds import SearchConfig, random_search
+        calls = []
+        type_edges = PMGraph._edge_types.func
+
+        def counted(pg):
+            calls.append(pg)
+            return type_edges(pg)
+
+        prop = cached_property(counted)
+        prop.__set_name__(PMGraph, "_edge_types")
+        monkeypatch.setattr(PMGraph, "_edge_types", prop)
+        random_search(SearchConfig(samples=6, seed=3))
+        # quick_report's delta and bound_suite's counts read one pass
+        assert len(calls) == 6
+
+    def test_callers_leave_delta_alone(self, rng):
+        from mginv.bounds import bound_suite, effective_bogomolov_r0
+        from mginv.invariants import invariant_report
+        for pg in self.bridged_cases(rng):
+            types, delta = pg.edge_types()
+            before = dict(delta)
+            report = invariant_report(pg)
+            assert report.delta is delta
+            bound_suite(pg, report)
+            report.to_json_dict(None)
+            report.csv_fields(None)
+            # exact=False: at genus 3 the exact t(3) is a Surd79, which
+            # the final division does not take
+            effective_bogomolov_r0([pg, pg], pg.pm_genus(), smooth=False,
+                                   exact=False)
+            assert pg.edge_types() == (types, before)
+            assert (types, before) == PMGraph._edge_types.func(pg)
+
 
 class TestAttachLoops:
     def test_q_zero_unchanged(self):

@@ -637,6 +637,69 @@ class TestThetaDefinition:
         assert checked >= 100
 
 
+def oracle_tau(graph: MetrizedGraph) -> F:
+    """tau = (1/4) integral of (d/dx r(x, y))^2 dx at a fixed y, with every
+    resistance from the spanning-tree oracle (no code shared with Network).
+
+    On an edge of length L, r(., y) is quadratic in the position t, fixed by
+    A = r(u, y), M = r(mid, y) and B = r(v, y): r = A + beta t + gamma t^2
+    with gamma = 2(A + B - 2M)/L^2 and beta = (B - A)/L - gamma L, and the
+    integral of (beta + 2 gamma t)^2 over [0, L] is
+    beta^2 L + 2 beta gamma L^2 + (4/3) gamma^2 L^3.
+    """
+    if not graph.edges:
+        return F(0)
+    y = graph.vertices[0]
+    total = F(0)
+    for i, e in enumerate(graph.edges):
+        sub = graph.subdivide_edge(i, 2)
+        a, m, b = (resistance_oracle(sub, w, y) for w in (e.u, f"e{i}#s1", e.v))
+        ln = e.length
+        gamma = 2 * (a + b - 2 * m) / ln ** 2
+        beta = (b - a) / ln - gamma * ln
+        total += (beta ** 2 * ln + 2 * beta * gamma * ln ** 2
+                  + F(4, 3) * gamma ** 2 * ln ** 3)
+    return total / 4
+
+
+def oracle_foster_sum(graph: MetrizedGraph) -> F:
+    """Sum of L_i / (L_i + R_i), R_i the oracle resistance between the ends
+    of edge i with edge i deleted; a bridge adds 0 (R_i is infinite)."""
+    total = F(0)
+    for i, e in enumerate(graph.edges):
+        rest = graph.delete_edge(i)
+        if isinstance(rest, tuple):
+            continue
+        total += e.length / (e.length + resistance_oracle(rest, e.u, e.v))
+    return total
+
+
+class TestTauOracle:
+    """tau and Foster's theorem on resistances by spanning-tree enumeration,
+    against the integer edge pass on L+ = P / D."""
+
+    @staticmethod
+    def cases():
+        graphs = [fam.complete_equal(4).graph]
+        graphs += [make() for make in EDGE_SUM_CASES.values()]
+        rng = random.Random(1717)
+        graphs += [random_pm_graph(rng, SearchConfig()).graph for _ in range(40)]
+        # subdividing adds an edge, and the oracle stops at ORACLE_EDGE_CAP
+        return [g for g in graphs if g.num_edges < ORACLE_EDGE_CAP]
+
+    def test_tau_matches_definition(self):
+        cases = self.cases()
+        assert len(cases) >= 45
+        assert any(g.structure.bridges for g in cases)
+        assert any(e.is_loop for g in cases for e in g.edges)
+        for graph in cases:
+            assert tau(graph) == oracle_tau(graph), graph
+
+    def test_foster_theorem(self):
+        for graph in self.cases():
+            assert oracle_foster_sum(graph) == graph.genus(), graph
+
+
 class TestDerivedInvariants:
     def test_k4_values(self):
         pg = fam.complete_equal(4)
