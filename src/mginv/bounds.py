@@ -314,7 +314,8 @@ def effective_bogomolov_r0(components: list[PMGraph], gbar: int,
             total[i] = total[i] + val
     weighted = _phi_delta_sum(gbar, total, exact)
     r0 = Fraction(2 * (gbar - 1) ** 2, 2 * gbar + 1) * weighted
-    a_d = weighted / (2 * (2 * gbar + 1))
+    # a product, not a quotient: at gbar = 3 ``weighted`` is a Surd79
+    a_d = Fraction(1, 2 * (2 * gbar + 1)) * weighted
     return r0, a_d
 
 

@@ -36,10 +36,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # OverflowError: float lengths so long that a squared sum leaves the
-    # float range (a circle of length 1e200, say), an input the float
-    # backend cannot evaluate
-    except (GraphError, ScalarError, ValueError, OverflowError) as exc:
+    # ArithmeticError: float lengths so long or so short that a sum leaves
+    # the float range (a circle of length 1e200) or a resistance rounds to
+    # zero (K4 scaled by 1e-20), an input the float backend cannot evaluate
+    except (GraphError, ScalarError, ValueError, ArithmeticError) as exc:
         _error(type(exc).__name__, str(exc))
         return 2
 

@@ -28,16 +28,20 @@ the only statement of which routes apply. ``invariant_report`` runs every
 route, skips those that raise ``NotApplicable``, checks agreement and
 base-vertex independence, and returns the audit trail.
 
-On the rational backend every sum over deleted-edge circuit data of a
-network with L+ = P / D (``Network.integer``) runs in integers on the
-per-edge terms of ``Network.integer_edges``: the tau/x/y edge pass, B_p and
+Every sum over deleted-edge circuit data of a network with L+ = P / D
+(``Network.pd``) is one closed form on the per-edge terms of
+``Network.pd_edges``, for both backends: the tau/x/y edge pass, B_p and
 A_p, sum L_i R_i/(L_i + R_i), the R_i/(L_i + R_i) factor of the contraction
-sum and the genus identity, with one fraction per summand (or per sum).
-Theta 'definition' runs on P / D too, as one fraction, so the single-route
-``quick_report`` of a search sample forms no fraction matrix (neither
-``Network.lplus`` nor ``Network.r``). Float networks and the one-edge
-contractions, whose L+ is a rank-one update in fractions, go through
-``Network.circuit`` and ``edge_resistance``.
+sum and the genus identity. The forms are polynomial identities in the
+entries of P, so they hold over floats (P = L+, D = 1.0) as over integers.
+Only the division depends on the backend (``Network.div`` and
+``Network.sum_ratios``): one fraction per summand or per sum on integers,
+``/`` on floats, chosen once per sum.
+Theta 'definition' runs on P / D too, as one division, so the single-route
+``quick_report`` of a rational search sample forms no fraction matrix
+(neither ``Network.lplus`` nor ``Network.r``). The one-edge contractions of
+a rational network, whose L+ is a rank-one update in fractions, have no
+(P, D) form; their B_p goes through ``Network.circuit``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from math import lcm
+from math import isfinite
 
 from .graphs import GraphError, MetrizedGraph, PMGraph
 from .network import Network, network_for
@@ -69,14 +73,25 @@ class NotApplicable(GraphError):
 # shared circuit sums
 
 
+def _finite(x) -> bool:
+    return not isinstance(x, float) or isfinite(x)
+
+
 def _memoized(fn):
     """Keep ``fn(net, *args)`` in ``net.sums``, so that every formula that
-    reads the same sum of one network computes it once."""
+    reads the same sum of one network computes it once.
+
+    A float sum that leaves the float range raises OverflowError: the closed
+    forms are of degree 5 over degree 4 in the lengths, so float lengths
+    past about 1e61 give inf or nan rather than an exception."""
     @wraps(fn)
     def cached(net: Network, *args):
         key = (fn.__name__, *args)
         if key not in net.sums:
-            net.sums[key] = fn(net, *args)
+            value = fn(net, *args)
+            if not all(map(_finite, value if isinstance(value, tuple) else (value,))):
+                raise OverflowError(f"{fn.__name__} leaves the float range")
+            net.sums[key] = value
         return net.sums[key]
     return cached
 
@@ -86,33 +101,21 @@ def _sum_lr(net: Network) -> Scalar:
     """sum of L_i R_i / (L_i + R_i); a bridge contributes its length L_i.
 
     Each summand is r(u_i, v_i), the edge in parallel with the rest of the
-    graph, so on L+ = P / D the sum is one fraction: sum of rho_uv over D.
+    graph, so on L+ = P / D the sum is one division: sum of rho_uv over D.
     """
-    if net.integer is not None:
-        return Fraction(sum(rho_uv for *_, rho_uv, _ in net.integer_edges),
-                        net.integer[1])
-    total = Fraction(0)
-    for i, e in enumerate(net.graph.edges):
-        if i in net.bridges:
-            total = total + e.length
-        elif e.is_loop:
-            continue
-        else:
-            r = net.edge_resistance(i)
-            total = total + e.length * r / (e.length + r)
-    return total
+    return net.div(sum(rho_uv for *_, rho_uv, _ in net.pd_edges), net.pd[1])
 
 
 def _deleted_numerators(net: Network, p: str):
     """Per edge i = (u, v), on L+ = P / D: (a, b, rho_uv, K, n_pu, n_pv)
-    from ``Network.integer_edges``, with n_px = rho_px K + b (d_p - d_x)^2,
+    from ``Network.pd_edges``, with n_px = rho_px K + b (d_p - d_x)^2,
     so that n_px / (D K) is the resistance from p to x with the interior of
     edge i deleted."""
-    lp, _ = net.integer
+    lp, _ = net.pd
     ip = net.graph.vertex_index[p]
     row_p = lp[ip]
     p_pp = row_p[ip]
-    for a, b, iu, iv, d_u, d_v, rho_uv, k in net.integer_edges:
+    for a, b, iu, iv, d_u, d_v, rho_uv, k in net.pd_edges:
         d_p = row_p[iu] - row_p[iv]
         rho_pu = p_pp - 2 * row_p[iu] + lp[iu][iu]
         rho_pv = p_pp - 2 * row_p[iv] + lp[iv][iv]
@@ -126,19 +129,20 @@ def _rc_sum(net: Network, p: str) -> Scalar:
 
     On L+ = P / D each summand is n_c / (2 a D^2) with
     n_c = n_pu + n_pv - a D rho_uv (see ``_deleted_numerators``; a self-loop
-    gives r(p, u)), so B_p is one fraction over 2 A D^2, A = lcm of the a.
+    gives r(p, u)), so on integers B_p is one fraction over 2 A D^2,
+    A = lcm of the a. A rational contracted network has no (P, D) form and
+    sums the circuit data of ``Network.circuit``.
     """
-    if net.integer is not None:
-        den = net.integer[1]
-        scale = lcm(*(a for a, *_ in net.integer_edges))
-        total = sum(scale // a * (n_pu + n_pv - a * den * rho_uv)
-                    for a, _, rho_uv, _, n_pu, n_pv in _deleted_numerators(net, p))
-        return Fraction(total, 2 * den * den * scale)
-    total = Fraction(0)
-    for i, e in enumerate(net.graph.edges):
-        cd = net.circuit(i, p)
-        total = total + e.length * cd.r_c / (e.length + cd.r_i)
-    return total
+    if net.pd is None:
+        total = Fraction(0)
+        for i, e in enumerate(net.graph.edges):
+            cd = net.circuit(i, p)
+            total = total + e.length * cd.r_c / (e.length + cd.r_i)
+        return total
+    den = net.pd[1]
+    terms = [(n_pu + n_pv - a * den * rho_uv, a)
+             for a, _, rho_uv, _, n_pu, n_pv in _deleted_numerators(net, p)]
+    return net.sum_ratios(terms, 2 * den * den)
 
 
 @_memoized
@@ -150,59 +154,27 @@ def _ab_rc_sum(net: Network, p: str) -> Scalar:
     n_b = n_pv - n_pu + M and n_c = n_pu + n_pv - M, and the summand is
     b (n_a n_b + 2 M n_c) / (4 a^2 D^3 K); a self-loop adds 0.
     """
-    if net.integer is not None:
-        den = net.integer[1]
-        total = Fraction(0)
-        for a, b, rho_uv, k, n_pu, n_pv in _deleted_numerators(net, p):
-            m = a * den * rho_uv
-            diff = n_pu - n_pv
-            # n_a n_b + 2 M n_c = M (2 (n_pu + n_pv) - M) - (n_pu - n_pv)^2
-            total = total + Fraction(b * (m * (2 * (n_pu + n_pv) - m) - diff * diff),
-                                     a * a * k)
-        return total / (4 * den ** 3)
+    div = net.div
+    den = net.pd[1]
     total = Fraction(0)
-    for i, e in enumerate(net.graph.edges):
-        cd = net.circuit(i, p)
-        total = total + (cd.r_a * cd.r_b + cd.r_i * cd.r_c) / (e.length + cd.r_i)
-    return total
+    for a, b, rho_uv, k, n_pu, n_pv in _deleted_numerators(net, p):
+        m = a * den * rho_uv
+        diff = n_pu - n_pv
+        # n_a n_b + 2 M n_c = M (2 (n_pu + n_pv) - M) - (n_pu - n_pv)^2
+        total = total + div(b * (m * (2 * (n_pu + n_pv) - m) - diff * diff), a * a * k)
+    return total / (4 * den ** 3)
 
 
 @_memoized
 def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
-    """(12 tau, x, y) at base p, in one pass over the edges.
+    """(12 tau, x, y) at base p, in one pass over the edges, one division
+    per summand.
 
     The tau 'edges' route and the x/y split are distinct sums over the same
     circuit data of each deleted edge (R_i and r_a - r_b), so one pass
-    computes that data once per edge for all three. A bridge adds 3 L_i to
-    12 tau and L_i to y, a self-loop L_i to 12 tau.
-    """
-    if net.integer is not None:
-        return _edge_sums_integer(net, p)
-    t = x = y = Fraction(0)
-    for i, e in enumerate(net.graph.edges):
-        ln = e.length
-        if i in net.bridges:
-            t = t + 3 * ln
-            y = y + ln
-            continue
-        cd = net.circuit(i, p)
-        diff = cd.r_a - cd.r_b
-        denom = (ln + cd.r_i) ** 2
-        t = t + (ln ** 3 + 3 * ln * diff * diff) / denom
-        # diff * diff above and ** 2 here: each float sum keeps its own
-        # rounding, so tau and x/y stay the values of their own formulas
-        diff2 = (cd.r_a - cd.r_b) ** 2
-        x = x + (ln * ln * cd.r_i + Fraction(3, 4) * ln * cd.r_i ** 2
-                 - Fraction(3, 4) * ln * diff2) / denom
-        y = y + (Fraction(1, 4) * ln * cd.r_i ** 2
-                 + Fraction(3, 4) * ln * diff2) / denom
-    return t, x, y
+    computes that data once per edge for all three.
 
-
-def _edge_sums_integer(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
-    """``_edge_sums`` on L+ = P / D in integers, one fraction per summand.
-
-    For edge i = (u, v) with the terms of ``Network.integer_edges``, let
+    For edge i = (u, v) with the terms of ``Network.pd_edges``, let
     E = D K. The deleted-edge R_i and r_a - r_b are Rn / E and Dn / E with
     Rn = rho_uv K + b (d_u - d_v)^2 and
     Dn = (rho_pu - rho_pv) K + b ((d_p - d_u)^2 - (d_p - d_v)^2). With
@@ -211,12 +183,14 @@ def _edge_sums_integer(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
     and a b (Rn^2 + 3 Dn^2) / (4 Q). Since d_u - d_v = rho_uv, Rn = a D rho_uv
     and a E + b Rn = a^2 D^2. A bridge (K = 0) and a self-loop (u = v) need
     no case of their own: the summands reduce to (3 L_i, 0, L_i) and
-    (L_i, 0, 0).
+    (L_i, 0, 0). They are polynomial in K, so the rounding of K on a float
+    bridge moves them by as little.
     """
-    lp, den = net.integer
+    lp, den = net.pd
+    div = net.div
     row_p = lp[net.graph.vertex_index[p]]
     t = x = y = Fraction(0)
-    for a, b, iu, iv, d_u, d_v, rho_uv, k in net.integer_edges:
+    for a, b, iu, iv, d_u, d_v, rho_uv, k in net.pd_edges:
         d_p = row_p[iu] - row_p[iv]
         big_e = den * k
         rn = a * den * rho_uv
@@ -224,9 +198,9 @@ def _edge_sums_integer(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
         dn = ((lp[iu][iu] - lp[iv][iv] - 2 * d_p) * k
               + b * ((d_p - d_u) ** 2 - (d_p - d_v) ** 2))
         q = (a * a * den * den) ** 2
-        t = t + Fraction(a * (a * a * big_e * big_e + 3 * b * b * dn * dn), b * q)
-        x = x + Fraction(a * (4 * a * rn * big_e + 3 * b * (rn * rn - dn * dn)), 4 * q)
-        y = y + Fraction(a * b * (rn * rn + 3 * dn * dn), 4 * q)
+        t = t + div(a * (a * a * big_e * big_e + 3 * b * b * dn * dn), b * q)
+        x = x + div(a * (4 * a * rn * big_e + 3 * b * (rn * rn - dn * dn)), 4 * q)
+        y = y + div(a * b * (rn * rn + 3 * dn * dn), 4 * q)
     return t, x, y
 
 
@@ -254,15 +228,11 @@ def _contraction_sum(net: Network) -> Scalar:
     On L+ = P / D the factor R_i / (L_i + R_i) is b rho_uv / (a D).
     """
     inners = _contraction_rc_sums(net)
+    div = net.div
+    den = net.pd[1]
     total = Fraction(0)
-    if net.integer is not None:
-        den = net.integer[1]
-        for (a, b, *_, rho_uv, _), inner in zip(net.integer_edges, inners):
-            total = total + Fraction(b * rho_uv, a * den) * inner
-        return total
-    for i, (e, inner) in enumerate(zip(net.graph.edges, inners)):
-        r = net.edge_resistance(i)
-        total = total + r / (e.length + r) * inner
+    for (a, b, *_, rho_uv, _), inner in zip(net.pd_edges, inners):
+        total = total + div(b * rho_uv, a * den) * inner
     return total
 
 
@@ -392,32 +362,18 @@ def theta_definition(pg: PMGraph) -> Scalar:
     zero, and the other vertices keep their weights and resistances.
 
     On L+ = P / D, with r_ab = (P_aa - 2 P_ab + P_bb) / D and W the sum of
-    the weights w, the double sum is one fraction:
+    the weights w, the double sum is one division:
     (2 W sum_a w_a P_aa - 2 w^T P w) / D.
     """
     g = pg.graph
     net = network_for(g)
     weights = [pg.canonical_weight(p) for p in g.vertices]
-    if net.integer is not None:
-        lp, den = net.integer
-        support = [(a, w) for a, w in enumerate(weights) if w]
-        diag = sum(w * lp[a][a] for a, w in support)
-        cross = sum(wa * sum(wb * lp[a][b] for b, wb in support)
-                    for a, wa in support)
-        return Fraction(2 * sum(weights) * diag - 2 * cross, den)
-    r = net.r
-    n = g.num_vertices
-    total = Fraction(0)
-    for a in range(n):
-        wa = weights[a]
-        if not wa:
-            continue
-        for b in range(n):
-            wb = weights[b]
-            if not wb:
-                continue
-            total = total + wa * wb * r[a][b]
-    return total
+    lp, den = net.pd
+    support = [(a, w) for a, w in enumerate(weights) if w]
+    diag = sum(w * lp[a][a] for a, w in support)
+    cross = sum(wa * sum(wb * lp[a][b] for b, wb in support)
+                for a, wa in support)
+    return net.div(2 * sum(weights) * diag - 2 * cross, den)
 
 
 def theta_second(pg: PMGraph, tau_value: Scalar | None = None) -> Scalar:
@@ -598,21 +554,11 @@ def genus_identity_residual(graph: MetrizedGraph) -> Scalar:
 
     Bridges contribute the limit value zero of their summand. On
     L+ = P / D each summand is K / (a D) (1 on a self-loop, 0 on a bridge),
-    so the sum is one fraction over A D, A = lcm of the a.
+    so on integers the sum is one fraction over A D, A = lcm of the a.
     """
     net = network_for(graph)
-    if net.integer is not None:
-        terms = net.integer_edges
-        scale = lcm(*(a for a, *_ in terms))
-        return (Fraction(sum(scale // a * k for a, *_, k in terms),
-                         scale * net.integer[1]) - graph.genus())
-    total = Fraction(0)
-    for i, e in enumerate(graph.edges):
-        if i in net.bridges:
-            continue
-        r = net.edge_resistance(i)
-        total = total + e.length / (e.length + r)
-    return total - graph.genus()
+    terms = [(k, a) for a, *_, k in net.pd_edges]
+    return net.sum_ratios(terms, net.pd[1]) - graph.genus()
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,20 @@ to an integer matrix, which fraction-free Gauss-Jordan elimination (Bareiss
 1968) inverts in integers as N/d; each entry of L+ is then the one fraction
 (v s N_ij - d) / (v d). On floats, Gauss-Jordan runs with partial pivoting.
 
-The integer numerators stay on the network as ``Network.integer`` = (P, D),
-with P_ij = v s N_ij - d and D = v d, so that L+ = P / D. Every rational
-network that ``Network(graph)`` inverts has them (a one-vertex graph has
-P = [[0]] and D = 1), and keeps only them: the fraction matrices
-``lplus`` (P_ij / D) and ``r`` ((P_ii - 2 P_ij + P_jj) / D, formed without
-L+) are derived on first read, so a sum that runs on P / D builds neither.
-Float networks and the ``contracted`` networks, whose L+ is a rank-one
-update in fractions, have ``integer`` None and keep ``lplus`` from
-construction; their ``r`` is formed from it on first read.
-``Network.integer_edges`` keeps, once per network, the base-free integer
-terms of every edge (see there). The invariant formulas read them for
-every sum over deleted-edge circuit data (tau 'edges' and x/y, B_p, A_p,
-sum L_i R_i/(L_i + R_i), the contraction factor and the genus identity)
-and form one fraction per summand or per sum; ``circuit`` and
-``edge_resistance`` serve float and ``contracted`` networks only.
+A network keeps L+ as ``Network.pd`` = (P, D), L+ = P / D. On the rational
+backend P is the integer matrix P_ij = v s N_ij - d and D = v d (a
+one-vertex graph has P = [[0]] and D = 1), and only (P, D) is kept: the
+fraction matrices ``lplus`` (P_ij / D) and ``r`` ((P_ii - 2 P_ij + P_jj) / D,
+formed without L+) are derived on first read, so a sum that runs on P / D
+builds neither. On floats P is L+ itself and D = 1.0, and ``lplus`` is kept
+from construction. ``Network.pd_edges`` keeps, once per network, the
+base-free terms of every edge (see there). The invariant formulas read them
+for every sum over deleted-edge circuit data (tau 'edges' and x/y, B_p, A_p,
+sum L_i R_i/(L_i + R_i), the contraction factor and the genus identity), in
+one closed form per sum for both backends; the only step that depends on
+the backend is the division (``Network.div``, ``Network.sum_ratios``). The
+rational ``contracted`` networks, whose L+ is a rank-one update in
+fractions, have ``pd`` None: their B_p goes through ``circuit``.
 
 Effective resistances between vertices come from the pseudo-inverse. The
 per-edge circuit data needed by the invariant formulas lives in the graph
@@ -40,7 +39,7 @@ so the contraction formulas need no inversion beyond the parent's either.
 
 The circuit terms of an edge that do not depend on the base vertex (its
 endpoint indices, d_u and d_v of d = L+ (e_u - e_v), the denominator
-L_i - r(u, v) and the deleted-edge resistance R_i; or their integer forms)
+L_i - r(u, v) and the deleted-edge resistance R_i; or their forms on P / D)
 are computed on first use and kept on the network, one small tuple per
 edge. Data per (edge, base) pair is not kept: it would make every memoized
 network V times larger.
@@ -66,6 +65,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
+from operator import truediv
 
 from .graphs import GraphError, MetrizedGraph
 from .scalars import FLOAT, Scalar
@@ -231,27 +231,29 @@ class Network:
     ``lplus`` is the Moore-Penrose pseudo-inverse of ``laplacian`` (on a
     ``contracted`` network, a generalized inverse with the same resistances)
     and ``r`` the matrix of effective resistances, all aligned with
-    ``graph.vertices``. ``integer`` is ``(P, D)`` with L+ = P / D, P an
-    integer matrix, on the rational backend; it is None on floats and on
-    ``contracted`` networks. ``r``, and ``lplus`` where ``integer`` is
-    set, are derived on first read and then kept. ``sums`` holds scalar
-    sums that the invariant formulas derive from the network, keyed by
-    formula and base vertex, so each is computed once per network.
+    ``graph.vertices``. ``pd`` is ``(P, D)`` with L+ = P / D: P an integer
+    matrix on the rational backend, L+ itself with D = 1.0 on floats, and
+    None on rational ``contracted`` networks. ``div`` is how a sum on
+    (P, D) divides, ``Fraction`` on integers and ``/`` on floats, and
+    ``sum_ratios`` the same for a sum of quotients. ``r``,
+    and on the rational backend ``lplus``, are derived on first read and
+    then kept. ``sums`` holds scalar sums that the invariant formulas derive
+    from the network, keyed by formula and base vertex, so each is computed
+    once per network.
     """
 
     def __init__(self, graph: MetrizedGraph):
         rows = _laplacian_rows(graph)
         n = len(rows)
         if graph.backend == FLOAT:
-            if n == 1:
-                lplus = [[Fraction(0)]]
-            else:
+            lplus = [[0.0]]
+            if n > 1:
                 jv = Fraction(1, n)
                 inv, _ = _invert_shifted([[x + jv for x in row] for row in rows])
                 lplus = [[x - jv for x in row] for row in inv]
-            self._setup(graph, lplus, None)
+            self._setup(graph, (lplus, 1.0), lplus)
         elif n == 1:
-            self._setup(graph, None, ([[0]], 1))
+            self._setup(graph, ([[0]], 1))
         else:
             # s (L + J/v) is an integer matrix M; with M^-1 = N/d,
             # L+ = s N/d - 1/v = (v s N - d) / (v d), and N is symmetric
@@ -260,25 +262,27 @@ class Network:
             inv, d = _invert_shifted([[x + shift for x in row] for row in scaled])
             vs = n * s
             num = [[vs * x - d for x in row] for row in inv]
-            self._setup(graph, None, (num, n * d))
+            self._setup(graph, (num, n * d))
 
-    def _setup(self, graph: MetrizedGraph, lplus: list[list[Scalar]] | None,
-               integer: tuple[list[list[int]], int] | None) -> None:
+    def _setup(self, graph: MetrizedGraph, pd: tuple | None,
+               lplus: list[list[Scalar]] | None = None) -> None:
         """Keep ``lplus`` when given (float and ``contracted`` networks);
-        on rational networks it is derived from ``integer`` on first read."""
+        on rational networks it is derived from ``pd`` on first read."""
         self.graph = graph
         self._idx = graph.vertex_index
         if lplus is not None:
             self.lplus = lplus
-        self.integer = integer
+        self.pd = pd
+        # the one backend-dependent step of a sum on (P, D), chosen here
+        self.div = truediv if pd is not None and isinstance(pd[1], float) else Fraction
         self.sums: dict[tuple, Scalar] = {}
         self._edge_terms: dict[int, tuple] = {}
 
     @cached_property
     def lplus(self) -> list[list[Scalar]]:
-        """L+ = P / D, formed on first read; float and ``contracted``
-        networks set it on construction."""
-        num, den = self.integer
+        """L+ = P / D, formed on first read on the rational backend; float
+        and ``contracted`` networks set it on construction."""
+        num, den = self.pd
         n = len(num)
         lplus = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -289,17 +293,18 @@ class Network:
     @cached_property
     def r(self) -> list[list[Scalar]]:
         """Effective resistances r_ij = L+_ii - 2 L+_ij + L+_jj, formed on
-        first read; on L+ = P / D one fraction per entry, without L+."""
-        if self.integer is not None:
-            m, den = self.integer
+        first read; on L+ = P / D one division per entry, without L+."""
+        if self.pd is not None:
+            m, den = self.pd
         else:
             m, den = self.lplus, None
+        div = self.div
         n = len(m)
         r = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 x = m[i][i] - 2 * m[i][j] + m[j][j]
-                r[i][j] = r[j][i] = x if den is None else Fraction(x, den)
+                r[i][j] = r[j][i] = x if den is None else div(x, den)
         return r
 
     @property
@@ -313,22 +318,34 @@ class Network:
         return self.graph.structure.bridges
 
     @cached_property
-    def integer_edges(self) -> tuple[tuple[int, ...], ...]:
+    def pd_edges(self) -> tuple[tuple[Scalar, ...], ...]:
         """(a, b, iu, iv, d_u, d_v, rho_uv, K) for each edge i = (u, v), on
-        a network with ``integer`` = (P, D): L_i = a/b, d_x = P_xu - P_xv,
-        rho_uv = d_u - d_v = D r(u, v) and K = a D - b rho_uv, so that
-        L_i - r(u, v) = K / (b D). A self-loop has d_u = d_v = rho_uv = 0
-        and K = a D, a bridge K = 0."""
-        lp, den = self.integer
+        a network with ``pd`` = (P, D): L_i = a/b (a = L_i and b = 1.0 on
+        floats), d_x = P_xu - P_xv, rho_uv = d_u - d_v = D r(u, v) and
+        K = a D - b rho_uv, so that L_i - r(u, v) = K / (b D). A self-loop
+        has d_u = d_v = rho_uv = 0 and K = a D, a bridge K = 0 (up to
+        rounding on floats)."""
+        lp, den = self.pd
+        exact = self.div is Fraction
         out = []
         for e in self.graph.edges:
-            a, b = e.length.numerator, e.length.denominator
+            ln = e.length
+            a, b = (ln.numerator, ln.denominator) if exact else (ln, 1.0)
             iu, iv = self._idx[e.u], self._idx[e.v]
             d_u = lp[iu][iu] - lp[iu][iv]
             d_v = lp[iv][iu] - lp[iv][iv]
             rho_uv = d_u - d_v
             out.append((a, b, iu, iv, d_u, d_v, rho_uv, a * den - b * rho_uv))
         return tuple(out)
+
+    def sum_ratios(self, terms: list[tuple], den) -> Scalar:
+        """The sum of n / a over the (n, a) of ``terms``, divided by ``den``:
+        on integers one fraction over den times the lcm of the a, on floats
+        one division per term."""
+        if self.div is truediv:
+            return sum(n / a for n, a in terms) / den
+        scale = lcm(*(a for _, a in terms))
+        return Fraction(sum(scale // a * n for n, a in terms), den * scale)
 
     def contracted(self, i: int) -> Network:
         """Network of ``graph.contract_edge(i)``, without a new inversion.
@@ -360,7 +377,9 @@ class Network:
                 kb = keep[b]
                 lplus[a][b] = lplus[b][a] = lp[ka][kb] - d[ka] * scaled[kb]
         net = Network.__new__(Network)
-        net._setup(graph, lplus, None)
+        # floats keep the (P, D) form; rational contractions leave it for
+        # ``circuit``
+        net._setup(graph, (lplus, 1.0) if self.div is truediv else None, lplus)
         net.bridges = frozenset(j - (j > i) for j in self.bridges if j != i)
         return net
 
@@ -393,11 +412,6 @@ class Network:
         lp = self.lplus
         cross = lp[ix][iu] - lp[ix][iv] - lp[iy][iu] + lp[iy][iv]
         return base + cross * cross / (e.length - self.r[iu][iv])
-
-    def edge_resistance(self, i: int) -> Scalar:
-        """Deleted-edge resistance R_i between the endpoints of edge i."""
-        e = self.graph.edges[i]
-        return self.deleted_resistance(i, e.u, e.v)
 
     def _base_free_terms(self, i: int) -> tuple:
         """(iu, iv, d_u, d_v, L_i - r(u, v), R_i) of the non-bridge edge i

@@ -183,6 +183,16 @@ class TestEffectiveBound:
         # delta_0 = 2, delta_1 = 1/2, weights t(2) and 2*1*1/2
         assert r0 == F(2, 5) * (F(1, 27) * 2 + F(1, 2))
 
+    def test_genus3_is_exact_surd(self):
+        # t(3) is a Surd79, which has no division: r0 and aD stay exact
+        components = [fam.complete_equal(4)]
+        exact = effective_bogomolov_r0(components, 3, smooth=False)
+        approx = effective_bogomolov_r0(components, 3, smooth=False, exact=False)
+        for value, ref in zip(exact, approx):
+            assert isinstance(value, Surd79) and value.b != 0
+            assert value > 0
+            assert abs(float(value) - ref) <= 1e-12
+
     def test_genus_validation(self):
         with pytest.raises(ValueError):
             effective_bogomolov_r0([], 1, True)

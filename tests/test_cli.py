@@ -307,6 +307,20 @@ class TestFloatOverflow:
         assert json.loads(err)["error"]["type"] == "OverflowError"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    @pytest.mark.parametrize("exponent", [-20, -40, -70])
+    def test_float_zero_resistance_is_json(self, command, exponent, tmp_path, capsys):
+        # L + J/v rounds to J/v on floats, so every resistance is 0 and
+        # contracting an edge divides by r(u, v) = 0: exit 2, not a traceback
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(pm_graph_to_json_dict(
+            K4_SKEW.scaled(F(10) ** exponent))))
+        code, out, err = run(capsys, command, "--graph", str(path), "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ZeroDivisionError"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["compute", "verify", "family"])
     def test_rational_backend_unaffected(self, command, tmp_path, capsys):
         code, out, err = run(capsys, *long_circle_argv(command, tmp_path))

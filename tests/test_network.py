@@ -522,7 +522,7 @@ class TestGenusIdentity:
             s1 = F(0)
             s2 = F(0)
             for i, e in enumerate(g.edges):
-                r = net.edge_resistance(i)
+                r = net.deleted_resistance(i, e.u, e.v)
                 s1 += e.length / (e.length + r)
                 s2 += r / (e.length + r)
             assert s1 == g.genus()
@@ -539,8 +539,9 @@ class TestContracted:
                 ref = Network(g.contract_edge(i))
                 assert short.graph == ref.graph
                 assert short.r == ref.r
-                for j in range(short.graph.num_edges):
-                    assert short.edge_resistance(j) == ref.edge_resistance(j)
+                for j, e in enumerate(short.graph.edges):
+                    assert (short.deleted_resistance(j, e.u, e.v)
+                            == ref.deleted_resistance(j, e.u, e.v))
 
     def test_bridges_carried_over(self):
         # two triangles joined by the bridge (a, x), edge 3
@@ -592,25 +593,27 @@ def eager_resistances(lplus):
 def eager_matrices(graph):
     """(L+, r, (P, D)) formed eagerly on construction, the reference for
     the matrices a network derives on first read: on rationals every entry
-    of L+ is P_ij / D, and r_ij = L+_ii - 2 L+_ij + L+_jj on both backends."""
+    of L+ is P_ij / D, on floats P is L+ and D = 1.0, and
+    r_ij = L+_ii - 2 L+_ij + L+_jj on both backends."""
     rows = eager_laplacian(graph)
     n = len(rows)
-    integer = None
-    if n == 1:
+    if graph.backend == "float":
+        lplus = [[0.0]]
+        if n > 1:
+            jv = F(1, n)
+            inv, _ = invert_matrix([[x + jv for x in row] for row in rows])
+            lplus = [[x - jv for x in row] for row in inv]
+        pd = lplus, 1.0
+    elif n == 1:
         lplus = [[F(0)]]
-        if graph.backend != "float":
-            integer = [[0]], 1
-    elif graph.backend == "float":
-        jv = F(1, n)
-        inv, _ = invert_matrix([[x + jv for x in row] for row in rows])
-        lplus = [[x - jv for x in row] for row in inv]
+        pd = [[0]], 1
     else:
         scaled, s = _clear_denominators(rows, n)
         inv, d = invert_matrix([[x + s // n for x in row] for row in scaled])
         num = eager_symmetric(n, lambda i, j: n * s * inv[i][j] - d)
         lplus = eager_symmetric(n, lambda i, j: F(num[i][j], n * d))
-        integer = num, n * d
-    return lplus, eager_resistances(lplus), integer
+        pd = num, n * d
+    return lplus, eager_resistances(lplus), pd
 
 
 def eager_contracted(graph, lplus, r, i):
@@ -634,7 +637,8 @@ def same_entries(got, ref):
 
 class TestLazyMatrices:
     """A rational network keeps (P, D) and forms L+ and r on first read;
-    float and contracted networks keep L+ from construction."""
+    float networks (where P = L+, D = 1.0) and contracted networks keep L+
+    from construction."""
 
     def graphs(self, rng):
         graphs = [random_multigraph(rng) for _ in range(12)]
@@ -644,14 +648,15 @@ class TestLazyMatrices:
 
     def test_match_eager_formulas(self, rng):
         for g in self.graphs(rng):
-            lplus, r, integer = eager_matrices(g)
+            lplus, r, pd = eager_matrices(g)
             net = Network(g)
-            assert net.integer == integer
+            assert net.pd == pd
             assert "r" not in vars(net)
-            assert ("lplus" in vars(net)) == (integer is None)
+            kept = g.backend == "float"
+            assert ("lplus" in vars(net)) == kept
             # r first: on P / D it does not form L+
             same_entries(net.r, r)
-            assert ("lplus" in vars(net)) == (integer is None)
+            assert ("lplus" in vars(net)) == kept
             same_entries(net.lplus, lplus)
             # the builder's int zeros equal the fraction zeros
             assert [exact_bits(row) for row in net.laplacian] == [

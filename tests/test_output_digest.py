@@ -23,20 +23,24 @@ from mginv.graphs import MetrizedGraph, PMGraph, pm_graph_to_json_dict
 
 #: sha256 of the concatenated stdout of every (graph, command) below
 DIGEST = "59451829daedebc585026367fbd0d894083a20897b761f89ff2f65f2faaa24b6"
-#: the same over ``--backend float``
-FLOAT_DIGEST = "792a2976bca04e1f2c997fef46d86a38868095eaff3955e65c9c2d52b1f65e97"
+#: the same over ``--backend float``; re-recorded when float networks moved
+#: to the closed-form circuit sums on P / D, which round differently (every
+#: float value stays within 1e-13 ell of the exact one)
+FLOAT_DIGEST = "ba555e8ce5de97638a50b32ed1bc191e542dd410748dd5d70efad8a8b32bf825"
 
 #: search runs: (seed, extra flags), each with ``--samples SEARCH_SAMPLES``
 SEARCH_RUNS = ((11, ()), (29, ()),
                (11, ("--vertices", "3:9", "--edges", "4:16")),
                (29, ("--vertices", "3:9", "--edges", "4:16")))
 SEARCH_SAMPLES = 100
-#: sha256 of the concatenated search stdout, per (backend, format)
+#: sha256 of the concatenated search stdout, per (backend, format); the
+#: float ones re-recorded with FLOAT_DIGEST (verdicts, applicable checks and
+#: ranking unchanged, margins moved in the last bits)
 SEARCH_DIGESTS = {
     ("rational", "json"): "3b5190429267235f401fd2021ec4395ae80234404766c22e78023a0de6d7b647",
     ("rational", "csv"): "252b559534070107d90792511aa7d3a781f4df2c7d11137884f657591e94ac71",
-    ("float", "json"): "9f2a7a6d1a5e570959f6662fe2f2ac2b89fab34d2abe1acb9577ed6232c17793",
-    ("float", "csv"): "9f1b686ddc13c2413707eab3fcf761c9cebcb00eb5f0aaf9e4cd824b6f47b52d",
+    ("float", "json"): "e06efe9d86db59ae8ccd76eeee2346847fbf5f52d17e923992f6e90f684c6869",
+    ("float", "csv"): "f01702f3f50e279fd856dbfff1f824ce475b5a053e9a07ebcdbcbbd898e0a46c",
 }
 
 GRID = SearchConfig().lengths
