@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .graphs import MetrizedGraph, PMGraph, pm_graph_to_json_dict
@@ -50,16 +50,13 @@ def t_value(gbar: int, exact: bool = True):
     return Fraction((gbar - 1) ** 2, 2 * gbar * (7 * gbar + 5))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    applicable: bool
-    reason: str | None = None       # why not applicable
-    lhs: Scalar | None = None
-    rhs: Scalar | None = None
-    margin: Scalar | None = None    # lhs - rhs, >= 0 means satisfied
-    satisfied: bool | None = None
-    proved: bool = True
+class BoundCheck(namedtuple("BoundCheck",
+                            "name applicable reason lhs rhs margin satisfied proved",
+                            defaults=(None, None, None, None, None, True))):
+    """One inequality on one pm-graph. ``reason`` says why it is not
+    applicable; ``margin`` is lhs - rhs, and >= 0 means satisfied."""
+
+    __slots__ = ()
 
 
 def _ok(name, lhs, rhs, proved=True) -> BoundCheck:
@@ -323,43 +320,42 @@ def effective_bogomolov_r0(components: list[PMGraph], gbar: int,
 # random search
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(namedtuple("SearchConfig", "samples seed genus vertices edges lengths "
+                                              "max_q simple_only backend workers")):
     """Deterministic random sampling of bridgeless pm-graphs.
 
     Graphs are a random cycle plus random chords (parallel edges allowed
     unless ``simple_only``), with lengths drawn from a rational grid and
     extra polarization pushing the genus into range. Identical output for
-    identical seeds, regardless of worker count.
+    identical seeds, regardless of worker count. ``genus``, ``vertices``
+    and ``edges`` are inclusive (lo, hi) ranges.
     """
 
-    samples: int = 100
-    seed: int = 0
-    genus: tuple[int, int] = (2, 4)
-    vertices: tuple[int, int] = (3, 7)
-    edges: tuple[int, int] = (4, 10)
-    lengths: tuple[Scalar, ...] = tuple(Fraction(k, 12) for k in range(1, 13))
-    max_q: int = 1
-    simple_only: bool = False
-    backend: str = RATIONAL
-    workers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+    def __new__(cls, samples: int = 100, seed: int = 0,
+                genus: tuple[int, int] = (2, 4), vertices: tuple[int, int] = (3, 7),
+                edges: tuple[int, int] = (4, 10),
+                lengths: tuple[Scalar, ...] = tuple(Fraction(k, 12) for k in range(1, 13)),
+                max_q: int = 1, simple_only: bool = False, backend: str = RATIONAL,
+                workers: int = 1):
+        self = tuple.__new__(cls, (samples, seed, genus, vertices, edges, lengths,
+                                   max_q, simple_only, backend, workers))
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         for name in ("genus", "vertices", "edges"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} range {lo}:{hi} is inverted")
-        if self.vertices[0] < 1:
-            raise ValueError(f"vertices range {self.vertices[0]}:{self.vertices[1]} "
+        if vertices[0] < 1:
+            raise ValueError(f"vertices range {vertices[0]}:{vertices[1]} "
                              "must start at 1 or more")
-        if not any(self._feasible(v) for v in range(self.vertices[0],
-                                                    self.vertices[1] + 1)):
+        if not any(self._feasible(v) for v in range(vertices[0], vertices[1] + 1)):
             raise ValueError("no graph in the vertex and edge ranges has a "
                              "pm-genus in the genus range")
+        return self
 
     def _feasible(self, v: int) -> bool:
         """Whether ``random_pm_graph`` can draw a graph with v vertices: an
@@ -373,14 +369,13 @@ class SearchConfig:
         return g_lo <= min(e_hi - v + 1, self.genus[1])
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    graph_id: str
-    pm: PMGraph
-    min_margin: float                 # worst normalized margin over proved checks
-    margins: dict[str, float] = field(repr=False)
-    checks: tuple[BoundCheck, ...] = field(default=(), repr=False)
-    violations: tuple[str, ...] = ()
+class SearchResult(namedtuple("SearchResult",
+                              "graph_id pm min_margin margins checks violations",
+                              defaults=((), ()))):
+    """One searched pm-graph: ``min_margin`` is the worst normalized margin
+    over the proved checks, ``margins`` the normalized margin per check."""
+
+    __slots__ = ()
 
 
 def graph_id(pg: PMGraph) -> str:
@@ -450,9 +445,10 @@ def settle_near_zero(pm: PMGraph, evaluated: PMGraph, checks: list[BoundCheck]
     """
     if evaluated.graph.backend != FLOAT:
         return checks, set()
+    # a product, not a quotient: an edgeless graph has total length 0
     ell = float(evaluated.graph.total_length())
     recheck = {c.name for c in checks if c.applicable and c.proved
-               and float(c.margin) / ell < EXACT_RECHECK_THRESHOLD}
+               and float(c.margin) < EXACT_RECHECK_THRESHOLD * ell}
     if recheck:
         exact_checks = {c.name: c for c in bound_suite(pm)}
         checks = [exact_checks[c.name] if c.name in recheck else c for c in checks]

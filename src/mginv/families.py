@@ -9,7 +9,7 @@ resistances), which pins down their incidence structure unambiguously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,8 +20,8 @@ FAMILY_KINDS = ("circle", "bouquet", "banana", "complete_equal",
                 "necklace_Cvn", "genus3_gamma", "genus3_beta")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind v n count lengths total",
+                            defaults=(None, None, None, None, Fraction(1)))):
     """Parameters of one family instance.
 
     ``v``/``n`` are the vertex count and edge multiplicity where relevant,
@@ -30,12 +30,7 @@ class FamilySpec:
     lengths are implied equal.
     """
 
-    kind: str
-    v: int | None = None
-    n: int | None = None
-    count: int | None = None
-    lengths: tuple[Scalar, ...] | None = None
-    total: Scalar = Fraction(1)
+    __slots__ = ()
 
 
 class NoClosedForm(GraphError):

@@ -15,11 +15,10 @@ point of edge 3), so repeated runs produce identical graphs.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .scalars import (FLOAT, RATIONAL, Scalar, ScalarError, backend_of,
                       format_scalar, parse_scalar)
@@ -29,18 +28,18 @@ class GraphError(ValueError):
     """Invalid graph construction or operation input."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    u: str
-    v: str
-    length: Scalar
+class Edge(namedtuple("Edge", "u v length")):
+    """An edge from ``u`` to ``v`` with a positive ``length``."""
 
-    def __post_init__(self):
-        if not isinstance(self.length, float):
+    __slots__ = ()
+
+    def __new__(cls, u: str, v: str, length: Scalar):
+        if not isinstance(length, float):
             # ints and rational strings live on the exact backend
-            object.__setattr__(self, "length", Fraction(self.length))
-        if not self.length > 0:
-            raise GraphError(f"edge ({self.u},{self.v}) has non-positive length {self.length}")
+            length = Fraction(length)
+        if not length > 0:
+            raise GraphError(f"edge ({u},{v}) has non-positive length {length}")
+        return tuple.__new__(cls, (u, v, length))
 
     @property
     def is_loop(self) -> bool:
@@ -50,39 +49,54 @@ class Edge:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(namedtuple("Structure", "bridges edge_connectivity is_irreducible")):
     """Bridge set, edge connectivity and irreducibility of a metrized graph.
 
-    ``bridges`` indexes edges of the graph as given. ``edge_connectivity``
-    and ``is_irreducible`` are properties of the underlying metric space,
-    both decided on the graph as given: a self-loop is cut once for the edge
-    connectivity, and for irreducibility a self-loop at a vertex of valence
-    > 2 makes that vertex a cut point (the loop hangs off it).
+    ``bridges`` is a frozenset of edge indices into the graph as given.
+    ``edge_connectivity`` and ``is_irreducible`` are properties of the
+    underlying metric space, both decided on the graph as given: a self-loop
+    is cut once for the edge connectivity, and for irreducibility a
+    self-loop at a vertex of valence > 2 makes that vertex a cut point (the
+    loop hangs off it).
     """
 
-    bridges: frozenset[int]
-    edge_connectivity: int
-    is_irreducible: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
+
+
 class MetrizedGraph:
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    """Vertex ids and edges, immutable; equal graphs hash alike. Values
+    derived from them are kept per instance in ``__dict__``."""
 
-    def __post_init__(self):
-        if not self.vertices:
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        if not vertices:
             raise GraphError("vertex list is empty")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise GraphError("duplicate vertex ids")
-        vset = set(self.vertices)
-        for e in self.edges:
+        vset = set(vertices)
+        for e in edges:
             if e.u not in vset or e.v not in vset:
                 raise GraphError(f"edge ({e.u},{e.v}) has an unknown endpoint")
+        vars(self).update(vertices=vertices, edges=edges)
         self.backend  # rejects mixed backends
-        if not _connected(self.vertices, self.edges):
+        if not _connected(vertices, edges):
             raise GraphError("graph is not connected")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"MetrizedGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @classmethod
     def build(cls, vertices: Iterable[str],
@@ -245,8 +259,11 @@ class MetrizedGraph:
     def as_float(self) -> "MetrizedGraph":
         """The same graph on the float backend; a length beyond float range
         raises ``ScalarError``."""
-        return MetrizedGraph(self.vertices, tuple(
+        g = MetrizedGraph(self.vertices, tuple(
             Edge(e.u, e.v, parse_scalar(e.length, FLOAT)) for e in self.edges))
+        # an edgeless graph has no length to infer the backend from
+        vars(g)["backend"] = FLOAT
+        return g
 
     def _edge(self, i: int) -> Edge:
         if not 0 <= i < len(self.edges):
@@ -284,29 +301,41 @@ def one_point_join(g1: MetrizedGraph, p1: str,
 # polarized metrized graphs
 
 
-@dataclass(frozen=True)
 class PMGraph:
     """A metrized graph with a polarization ``q`` making the canonical
-    divisor sum((valence(p) - 2 + 2 q(p)) * p) effective, of genus >= 1."""
+    divisor sum((valence(p) - 2 + 2 q(p)) * p) effective, of genus >= 1.
+    ``polarization`` is the (vertex, q) pairs sorted by vertex id.
+    Immutable like its graph."""
 
-    graph: MetrizedGraph
-    polarization: tuple[tuple[str, int], ...]  # sorted by vertex id
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        qmap = dict(self.polarization)
-        if set(qmap) != set(self.graph.vertices):
+    def __init__(self, graph: MetrizedGraph, polarization: tuple[tuple[str, int], ...]):
+        qmap = dict(polarization)
+        if set(qmap) != set(graph.vertices):
             raise GraphError("polarization must cover exactly the vertex set")
-        for p, qv in self.polarization:
+        for p, qv in polarization:
             if qv < 0:
                 raise GraphError(f"negative polarization q({p}) = {qv}")
-        for p in self.graph.vertices:
-            w = self.graph.valences[p] - 2 + 2 * qmap[p]
+        for p in graph.vertices:
+            w = graph.valences[p] - 2 + 2 * qmap[p]
             if w < 0:
                 raise GraphError(
                     f"canonical divisor not effective at vertex {p!r}: "
-                    f"valence {self.graph.valences[p]} with q = {qmap[p]}")
-        if self.graph.genus() + sum(qmap.values()) < 1:
+                    f"valence {graph.valences[p]} with q = {qmap[p]}")
+        if graph.genus() + sum(qmap.values()) < 1:
             raise GraphError("pm-graph genus must be at least 1")
+        vars(self).update(graph=graph, polarization=polarization)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.polarization) == (other.graph, other.polarization)
+
+    def __hash__(self):
+        return hash((self.graph, self.polarization))
+
+    def __repr__(self):
+        return f"PMGraph(graph={self.graph!r}, polarization={self.polarization!r})"
 
     @classmethod
     def of(cls, graph: MetrizedGraph, q: Mapping[str, int] | None = None) -> "PMGraph":

@@ -46,12 +46,11 @@ a rational network, whose L+ is a rank-one update in fractions, have no
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import isfinite
 
-from .graphs import GraphError, MetrizedGraph, PMGraph
+from .graphs import GraphError, MetrizedGraph, PMGraph, _read_only
 from .network import Network, network_for
 from .scalars import RATIONAL, REL_TOL, Scalar, agree, format_scalar
 
@@ -565,26 +564,21 @@ def genus_identity_residual(graph: MetrizedGraph) -> Scalar:
 # the full report
 
 
-@dataclass(frozen=True, eq=False)
 class InvariantReport:
     """All scalar invariants of one pm-graph under one numeric backend,
-    with the per-formula audit trail for tau and theta."""
+    with the per-formula audit trail for tau and theta. Immutable; two
+    reports are equal only when they are the same object."""
 
-    backend: str
-    ell: Scalar
-    genus: int
-    pm_genus: int
-    tau: Scalar
-    theta: Scalar
-    epsilon: Scalar
-    a: Scalar
-    phi: Scalar
-    lam: Scalar
-    x: Scalar
-    y: Scalar
-    delta: dict[int, Scalar]
-    tau_methods: dict[str, Scalar] = field(repr=False)
-    theta_methods: dict[str, Scalar] = field(repr=False)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, backend: str, ell: Scalar, genus: int, pm_genus: int,
+                 tau: Scalar, theta: Scalar, epsilon: Scalar, a: Scalar, phi: Scalar,
+                 lam: Scalar, x: Scalar, y: Scalar, delta: dict[int, Scalar],
+                 tau_methods: dict[str, Scalar], theta_methods: dict[str, Scalar]):
+        vars(self).update(backend=backend, ell=ell, genus=genus, pm_genus=pm_genus,
+                          tau=tau, theta=theta, epsilon=epsilon, a=a, phi=phi, lam=lam,
+                          x=x, y=y, delta=delta, tau_methods=tau_methods,
+                          theta_methods=theta_methods)
 
     def to_json_dict(self, decimals: int | None = None) -> dict:
         def fmt(v):

@@ -60,7 +60,7 @@ identity, enumerated exhaustively) cross-checks the linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -203,8 +203,9 @@ def _invert_shifted(rows):
         raise GraphError("disconnected input") from exc
 
 
-@dataclass(frozen=True)
-class EdgeCircuitData:
+class EdgeCircuitData(namedtuple("EdgeCircuitData",
+                                 "edge base is_bridge r_i r_a r_b r_c side",
+                                 defaults=(None, None, None, None, None))):
     """Circuit-reduction data for one edge and one base vertex.
 
     Deleting the edge's interior and reducing the remaining network to a Y
@@ -215,14 +216,7 @@ class EdgeCircuitData:
     endpoint shares the base's component ('u' or 'v').
     """
 
-    edge: int
-    base: str
-    is_bridge: bool
-    r_i: Scalar | None = None
-    r_a: Scalar | None = None
-    r_b: Scalar | None = None
-    r_c: Scalar | None = None
-    side: str | None = None
+    __slots__ = ()
 
 
 class Network:

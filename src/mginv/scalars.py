@@ -16,7 +16,6 @@ by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -25,7 +24,7 @@ BACKENDS = (RATIONAL, FLOAT)
 #: Relative tolerance for cross-formula agreement on the float backend.
 REL_TOL = 1e-10
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction | float
 
 
 class ScalarError(ValueError):

@@ -69,6 +69,17 @@ class TestCompute:
         data = json.loads(out)
         assert abs(float(data["tau"]) - 5 / 96) < 1e-12
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_edgeless_backend(self, tmp_path, capsys, backend):
+        # no edge length to infer the backend from; ell = 0 on floats
+        path = tmp_path / "point.json"
+        path.write_text('{"vertices": [{"id": "p", "q": 1}], "edges": []}')
+        code, out, _ = run(capsys, "compute", "--graph", str(path), "--backend", backend)
+        assert code == 0
+        assert json.loads(out)["backend"] == backend
+        code, out, _ = run(capsys, "verify", "--graph", str(path), "--backend", backend)
+        assert code == 0 and json.loads(out)["ok"] is True
+
     def test_out_file(self, k4_file, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "compute", "--graph", str(k4_file),

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mginv.families as fam
-from mginv.graphs import (GraphError, MetrizedGraph, PMGraph, one_point_join,
+from mginv.bounds import SearchConfig, bound_suite, random_search
+from mginv.graphs import (Edge, GraphError, MetrizedGraph, PMGraph, one_point_join,
                           pm_graph_from_json, pm_graph_to_json_dict)
+from mginv.invariants import InvariantReport, quick_report
+from mginv.network import edge_circuit_data
 
 F = Fraction
 
@@ -72,6 +76,75 @@ class TestConstruction:
         with pytest.raises(GraphError):
             MetrizedGraph.build(["a", "a"], [("a", "a", F(1))])
 
+    #: per immutable type: an instance (on a K4 with dyadic lengths, so
+    #: that its float twin is equal), its field names, and an input it
+    #: rejects with the error raised
+    RECORDS = {
+        "Edge": lambda pm: (Edge("a", "b", F(1, 4)), ("u", "v", "length"),
+                            lambda: Edge("a", "b", F(0)), GraphError),
+        "Structure": lambda pm: (pm.graph.structure,
+                                 ("bridges", "edge_connectivity", "is_irreducible"),
+                                 None, None),
+        "MetrizedGraph": lambda pm: (pm.graph, ("vertices", "edges"),
+                                     lambda: MetrizedGraph.build(["a", "b"], []),
+                                     GraphError),
+        "PMGraph": lambda pm: (pm, ("graph", "polarization"),
+                               lambda: PMGraph.of(pm.graph, {"p1": -1}), GraphError),
+        "EdgeCircuitData": lambda pm: (
+            edge_circuit_data(pm.graph, 0, "p1"),
+            ("edge", "base", "is_bridge", "r_i", "r_a", "r_b", "r_c", "side"), None, None),
+        "InvariantReport": lambda pm: (quick_report(pm), ("backend", "tau", "delta"),
+                                       None, None),
+        "BoundCheck": lambda pm: (
+            bound_suite(pm)[0],
+            ("name", "applicable", "reason", "lhs", "rhs", "margin", "satisfied", "proved"),
+            None, None),
+        "SearchConfig": lambda pm: (
+            SearchConfig(samples=2, seed=3),
+            ("samples", "seed", "genus", "vertices", "edges", "lengths", "max_q",
+             "simple_only", "backend", "workers"),
+            lambda: SearchConfig(samples=0), ValueError),
+        "SearchResult": lambda pm: (
+            random_search(SearchConfig(samples=1, seed=3))[0],
+            ("graph_id", "pm", "min_margin", "margins", "checks", "violations"), None, None),
+        "FamilySpec": lambda pm: (
+            fam.FamilySpec(kind="necklace_Cvn", v=4, n=2, total=F(2)),
+            ("kind", "v", "n", "count", "lengths", "total"), None, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_immutable_records(self, name):
+        obj, names, bad, error = self.RECORDS[name](fam.complete_equal(4, F(3, 4)))
+        assert type(obj).__name__ == name
+        with pytest.raises(AttributeError):
+            setattr(obj, names[0], None)
+        with pytest.raises(AttributeError):
+            delattr(obj, names[0])
+        back = pickle.loads(pickle.dumps(obj))
+        if isinstance(obj, InvariantReport):
+            # reports compare by identity
+            assert obj == obj and back != obj
+            assert back.to_json_dict() == obj.to_json_dict()
+        else:
+            assert back == obj and back is not obj
+            fields = tuple(getattr(obj, f) for f in names)
+            if any(isinstance(f, dict) for f in fields):  # SearchResult's margins
+                with pytest.raises(TypeError):
+                    hash(obj)
+            else:
+                assert hash(obj) == hash(back) == hash(fields)
+        if hasattr(obj, "as_float"):
+            twin = obj.as_float()
+            assert getattr(twin, "graph", twin).backend == "float"
+            assert twin == obj and hash(twin) == hash(obj)
+            # equality reads every field
+            assert obj.scaled(2) != obj
+        if name == "PMGraph":
+            assert PMGraph.of(obj.graph, {"p1": 1}) != obj
+        if bad is not None:
+            with pytest.raises(error):
+                bad()
+
 
 class TestGenusLengthValence:
     def test_circle_loop_genus(self):
@@ -101,7 +174,8 @@ class TestGenusLengthValence:
         from mginv.scalars import backend_of
         from tests.conftest import random_multigraph
         graphs = [random_multigraph(rng) for _ in range(8)]
-        graphs.append(MetrizedGraph.build(["p"], []))
+        point = MetrizedGraph.build(["p"], [])
+        graphs.append(point)
         for g in graphs:
             derived = [g, g.scaled(F(7, 3)), g.as_float(), g.normalized(),
                        g.as_float().normalized(), g.as_float().scaled(2.5)]
@@ -114,8 +188,13 @@ class TestGenusLengthValence:
                 assert h.total_length() is h.total_length()
                 assert h.total_length() == total
                 assert type(h.total_length()) is type(total)
-                assert h.backend == backend_of(e.length for e in h.edges)
+                if h.edges:
+                    assert h.backend == backend_of(e.length for e in h.edges)
                 assert "backend" in vars(h)
+        # an edgeless graph has no length to infer the backend from
+        assert point.backend == "rational"
+        assert point.as_float().backend == "float"
+        assert point.as_float().normalized().backend == "float"
 
     def test_handshake(self, rng):
         from tests.conftest import random_simple_bridgeless

@@ -20,8 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: packages only ``search`` (hashlib) or ``search --workers > 1`` (the
-#: process pool) use; ``import mginv, mginv.cli`` must not load them
-DEFERRED = ("concurrent.futures", "multiprocessing", "hashlib")
+#: process pool) use, and packages no command needs (``dataclasses`` pulls
+#: in ``inspect``); ``import mginv, mginv.cli`` must not load them
+NOT_LOADED = ("concurrent.futures", "multiprocessing", "hashlib",
+            "dataclasses", "inspect", "typing")
 
 _NEW_MODULES = ("import json, sys; sys.path.insert(0, {src!r}); "
                 "before = set(sys.modules); import mginv, mginv.cli; "
@@ -29,15 +31,18 @@ _NEW_MODULES = ("import json, sys; sys.path.insert(0, {src!r}); "
 
 
 def test_import_loads_no_deferred_package():
-    # a fresh isolated interpreter, as the benchmark times the import
-    done = subprocess.run([sys.executable, "-I", "-c", _NEW_MODULES.format(src=str(SRC))],
-                          cwd=ROOT, capture_output=True, text=True, timeout=60,
-                          check=True)
-    loaded = set(json.loads(done.stdout))
-    assert "mginv.cli" in loaded
-    for name in DEFERRED:
-        hits = sorted(m for m in loaded if m == name or m.startswith(name + "."))
-        assert not hits, f"import mginv, mginv.cli loads {hits}"
+    # a fresh isolated interpreter, as the benchmark times the import; and
+    # one without site, whose .pth files may load typing and others first
+    for flags in (["-I"], ["-I", "-S"]):
+        done = subprocess.run([sys.executable, *flags, "-c",
+                               _NEW_MODULES.format(src=str(SRC))],
+                              cwd=ROOT, capture_output=True, text=True, timeout=60,
+                              check=True)
+        loaded = set(json.loads(done.stdout))
+        assert "mginv.cli" in loaded
+        for name in NOT_LOADED:
+            hits = sorted(m for m in loaded if m == name or m.startswith(name + "."))
+            assert not hits, f"{flags}: import mginv, mginv.cli loads {hits}"
 
 
 def mginv_imports(path: Path) -> list[tuple[str, str | None]]:
