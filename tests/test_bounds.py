@@ -130,6 +130,96 @@ class TestSuiteOnFamilies:
         assert named["phi_delta"].applicable and named["phi_delta"].satisfied
 
 
+BRIDGELESS_G2 = "needs bridgeless and genus >= 2"
+IRREDUCIBLE_G2 = "needs irreducible and genus >= 2"
+Q0 = "needs bridgeless and q = 0"
+MAIN1 = "needs bridgeless, q = 0, >= 3 vertices and valence >= 4"
+MAIN2 = "needs bridgeless, q = 0, >= 3 vertices and valence >= 3"
+REGULAR = "needs a simple regular graph, equal lengths, constant q"
+K4_ONLY = "complete graph on 4 vertices only"
+
+
+def _na(*names, reason):
+    return [(name, False, reason, True) for name in names]
+
+
+def _ok(*names, proved=True):
+    return [(name, True, None, proved) for name in names]
+
+
+#: the rows every pinned graph shares after the x/y region
+_TAIL = (_na("lm_regular", reason=REGULAR) + _na("beta_13x23y", reason=K4_ONLY))
+
+#: (name, applicable, reason, proved) of every row, in order. A pm-genus-1
+#: graph has no bridge (each side of a bridge has pm-genus >= 1), so the
+#: pm-genus-1 graph is a two-edge circle whose lengths are not its counts.
+PINNED_ROWS = {
+    "circle_genus1": (
+        _na("zhang_lower", reason=BRIDGELESS_G2)
+        + _na("zhang_conj_lhs", "zhang_conj_rhs", "phi_t", "phi_t3_weak",
+              reason=IRREDUCIBLE_G2)
+        + _na("phi_delta", reason="needs genus >= 2")
+        + _ok("lambda_delta") + _ok("lambda_delta_count", proved=False)
+        + _ok("lambda_floor", "phi_i", "phi_ii", "phi_iii", "phi_iv")
+        + _na("phi_v", reason="needs equal lengths and valence >= 3")
+        + _na("phi_vi", reason="needs edge connectivity >= 4")
+        + _na("main1_v", "main1_g", "main1_conn1", "main1_conn2", reason=MAIN1)
+        + _na("main2_v", "main2_g", "main2_conn1", "main2_conn2", reason=MAIN2)
+        + _ok("xy_sum", "xy_conn", "xy_gy", "xy_parabola") + _TAIL),
+    "point_q1": (
+        _na("zhang_lower", reason=BRIDGELESS_G2)
+        + _na("zhang_conj_lhs", "zhang_conj_rhs", "phi_t", "phi_t3_weak",
+              reason=IRREDUCIBLE_G2)
+        + _na("phi_delta", reason="needs genus >= 2")
+        + _ok("lambda_delta", "lambda_floor")
+        + _na("phi_i", "phi_ii", "phi_iii", "phi_iv", "phi_v", "phi_vi", reason=Q0)
+        + _na("main1_v", "main1_g", "main1_conn1", "main1_conn2", reason=MAIN1)
+        + _na("main2_v", "main2_g", "main2_conn1", "main2_conn2", reason=MAIN2)
+        + _na("xy_sum", "xy_conn", "xy_gy", "xy_parabola",
+              reason="needs at least one edge") + _TAIL),
+    "bridged_genus2": (
+        _na("zhang_lower", reason=BRIDGELESS_G2)
+        + _na("zhang_conj_lhs", "zhang_conj_rhs", "phi_t", "phi_t3_weak",
+              reason=IRREDUCIBLE_G2)
+        + _ok("phi_delta") + _ok("phi_delta_count", proved=False)
+        + _ok("lambda_delta") + _ok("lambda_delta_count", proved=False)
+        + _na("lambda_floor", reason="needs bridgeless")
+        + _na("phi_i", "phi_ii", "phi_iii", "phi_iv", "phi_v", "phi_vi", reason=Q0)
+        + _na("main1_v", "main1_g", "main1_conn1", "main1_conn2", reason=MAIN1)
+        + _na("main2_v", "main2_g", "main2_conn1", "main2_conn2", reason=MAIN2)
+        + _na("xy_sum", "xy_conn", "xy_gy", "xy_parabola", reason="needs bridgeless")
+        + _TAIL),
+}
+
+
+def _pinned_graph(name):
+    if name == "circle_genus1":
+        g = MetrizedGraph.build(("a", "b"), [("a", "b", F(1, 3)), ("b", "a", F(1, 4))])
+        return PMGraph.of(g)
+    if name == "point_q1":
+        return PMGraph.of(MetrizedGraph.build(["p"], []), {"p": 1})
+    g = MetrizedGraph.build(
+        ("a", "b"), [("a", "a", F(1)), ("b", "b", F(1)), ("a", "b", F(1, 2))])
+    return PMGraph.of(g)
+
+
+class TestSuiteRows:
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+    def test_rows_pinned(self, name, backend):
+        # which rows are listed, in which order, with which reason: the
+        # informational count rows appear only where counts differ from
+        # lengths (phi_delta_count only at pm-genus >= 2), never as n/a
+        pm = _pinned_graph(name)
+        if backend == FLOAT:
+            pm = pm.as_float()
+        rows = [(c.name, c.applicable, c.reason, c.proved) for c in bound_suite(pm)]
+        assert rows == PINNED_ROWS[name]
+        bridged = name == "bridged_genus2"
+        assert pm.pm_genus() == (2 if bridged else 1)
+        assert bool(pm.graph.structure.bridges) == bridged
+
+
 class TestConjectureFormConsistency:
     def test_margins_proportional(self, rng):
         # the epsilon/a forms of the two conjecture inequalities reduce to
