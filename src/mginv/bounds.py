@@ -59,16 +59,6 @@ class BoundCheck(namedtuple("BoundCheck",
     __slots__ = ()
 
 
-def _ok(name, lhs, rhs, proved=True) -> BoundCheck:
-    margin = lhs - rhs
-    return BoundCheck(name, True, None, lhs, rhs, margin,
-                      bool(margin >= 0), proved)
-
-
-def _na(name, reason, proved=True) -> BoundCheck:
-    return BoundCheck(name, False, reason, proved=proved)
-
-
 def _phi_delta_sum(gbar: int, values, exact: bool) -> Scalar:
     """t(gbar) values[0] + sum over i >= 1 of 2 i (gbar - i) / gbar values[i]."""
     total = t_value(gbar, exact) * values[0]
@@ -87,7 +77,15 @@ def _lambda_delta_sum(gbar: int, values) -> Scalar:
 
 
 def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[BoundCheck]:
-    """Evaluate every named inequality on one pm-graph."""
+    """Evaluate every named inequality on one pm-graph.
+
+    The suite is one table of rows (name, rules, proved, sides). A rule is
+    a condition and the reason reported when it fails; the first rule of a
+    row that fails makes the row not applicable with its reason. A rule
+    with no reason leaves its row out instead: the informational count
+    rows are listed only where edge counts differ from lengths. ``sides``
+    returns (lhs, rhs) and is called only on an applicable row.
+    """
     if report is None:
         report = quick_report(pg)
     graph = pg.graph
@@ -107,176 +105,132 @@ def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[Boun
     valences = graph.valences
     min_val = min(valences.values())
     equal_lengths = len({edge.length for edge in graph.edges}) == 1
-    regular_n = valences[graph.vertices[0]]
-    is_regular = all(val == regular_n for val in valences.values())
+    n_reg = valences[graph.vertices[0]]
+    is_regular = all(val == n_reg for val in valences.values())
     q_values = {pg.q[p] for p in graph.vertices}
     delta = report.delta
-    checks: list[BoundCheck] = []
+    # delta-weighted bounds use lengths; their edge-count forms are
+    # informational
+    counts = pg.edge_type_counts()
+    counts_differ = any(Fraction(counts[i]) != delta[i] for i in delta)
 
     def tg():
         return t_value(gbar, exact)
 
-    # Zhang-type bounds in tau/theta/epsilon/a
-    if bridgeless and gbar >= 2:
-        checks.append(_ok("zhang_lower", 12 * tau + theta / (gbar - 1), ell))
-    else:
-        checks.append(_na("zhang_lower", "needs bridgeless and genus >= 2"))
+    # the rules several rows share
+    bridgeless_g2 = (bridgeless and gbar >= 2, "needs bridgeless and genus >= 2")
+    irreducible_g2 = (irreducible and gbar >= 2, "needs irreducible and genus >= 2")
+    bridgeless_only = (bridgeless, "needs bridgeless")
+    q_0 = (bridgeless and simple_pol, "needs bridgeless and q = 0")
+    main1 = (bridgeless and simple_pol and v >= 3 and min_val >= 4,
+             "needs bridgeless, q = 0, >= 3 vertices and valence >= 4")
+    main1_conn = (lam_conn * (2 * g + 7) >= 4 * (5 * g + 4),
+                  "edge connectivity below threshold")
+    main2 = (bridgeless and simple_pol and v >= 3 and min_val >= 3,
+             "needs bridgeless, q = 0, >= 3 vertices and valence >= 3")
+    main2_conn = (lam_conn * (g + 2) >= 7 * g + 5, "edge connectivity below threshold")
+    xy_region = (bridgeless_only, (e > 0, "needs at least one edge"))
+    counts_listed = (counts_differ, None)
 
-    if irreducible and gbar >= 2:
-        checks.append(_ok("zhang_conj_lhs", eps,
-                          Fraction(gbar - 1, gbar + 1) * (ell - 4 * gbar * a)))
-        c = 4 * tg()
-        checks.append(_ok("zhang_conj_rhs", 12 * gbar * a - (1 + c) * ell, eps))
-        checks.append(_ok("phi_t", phi, tg() * ell))
-        if gbar == 3:
-            checks.append(_ok("phi_t3_weak", phi, ell / 30))
-        else:
-            checks.append(_na("phi_t3_weak", "genus-3 only"))
-    else:
-        reason = "needs irreducible and genus >= 2"
-        checks.extend(_na(n, reason) for n in
-                      ("zhang_conj_lhs", "zhang_conj_rhs", "phi_t", "phi_t3_weak"))
+    table = (
+        # Zhang-type bounds in tau/theta/epsilon/a
+        ("zhang_lower", (bridgeless_g2,), True,
+         lambda: (12 * tau + theta / (gbar - 1), ell)),
+        ("zhang_conj_lhs", (irreducible_g2,), True,
+         lambda: (eps, Fraction(gbar - 1, gbar + 1) * (ell - 4 * gbar * a))),
+        ("zhang_conj_rhs", (irreducible_g2,), True,
+         lambda: (12 * gbar * a - (1 + 4 * tg()) * ell, eps)),
+        ("phi_t", (irreducible_g2,), True, lambda: (phi, tg() * ell)),
+        ("phi_t3_weak", (irreducible_g2, (gbar == 3, "genus-3 only")), True,
+         lambda: (phi, ell / 30)),
+        # delta-weighted conjecture bounds
+        ("phi_delta", ((gbar >= 2, "needs genus >= 2"),), True,
+         lambda: (phi, _phi_delta_sum(gbar, delta, exact))),
+        ("phi_delta_count", ((gbar >= 2, None), counts_listed), False,
+         lambda: (phi, _phi_delta_sum(gbar, counts, exact))),
+        ("lambda_delta", (), True, lambda: (lam, _lambda_delta_sum(gbar, delta))),
+        ("lambda_delta_count", (counts_listed,), False,
+         lambda: (lam, _lambda_delta_sum(gbar, counts))),
+        ("lambda_floor", (bridgeless_only,), True,
+         lambda: (lam, Fraction(gbar, 8 * gbar + 4) * ell)),
+        # the six phi lower bounds for bridgeless q = 0 graphs
+        ("phi_i", (q_0,), True,
+         lambda: (phi, Fraction(2 * g + 1, g) * tau - ell / (4 * g))),
+        ("phi_ii", (q_0,), True,
+         lambda: (phi, Fraction(g - 1, 12 * g * (g + 1)) * ell)),
+        ("phi_iii", (q_0,), True,
+         lambda: (phi, Fraction(4 * e - 5 * v, 4 * g * (v + 6)) * ell)),
+        ("phi_iv", (q_0,), True,
+         lambda: (phi, Fraction(g - 1, 4 * g * (g + 2)) * ell)),
+        ("phi_v", (q_0, (equal_lengths and min_val >= 3,
+                         "needs equal lengths and valence >= 3")), True,
+         lambda: (phi, Fraction((2 * g + 1) * g * g * v + 6 * (2 * g + 1) * (v - 1) ** 2
+                                - 3 * e * e * v, 12 * g * v * e * e) * ell)),
+        ("phi_vi", (q_0, (lam_conn >= 4, "needs edge connectivity >= 4")), True,
+         lambda: (phi,
+                  Fraction(2 * g + 1, 12 * g) * (1 - Fraction(4, lam_conn)) ** 2 * ell
+                  + Fraction(4 * (2 * g + 1) * (lam_conn - 2),
+                             g * (v + 6) * lam_conn ** 2) * ell
+                  - ell / (4 * g))),
+        # the two main phi bounds with their connectivity-improved variants
+        ("main1_v", (main1,), True,
+         lambda: (phi, Fraction(2 * g * g * (v + 10) - 2 * g * (5 * v + 2) - 19 * v - 16,
+                                4 * g * (5 * g + 4) * (v + 6)) * ell)),
+        ("main1_g", (main1,), True,
+         lambda: (phi, Fraction((2 * g * g + 10 * g - 3) * (g - 1),
+                                4 * g * (g + 5) * (5 * g + 4)) * ell)),
+        ("main1_conn1", (main1, main1_conn), True,
+         lambda: (phi, Fraction((g - 1) * lam_conn ** 2 * (v + 6)
+                                - 4 * v * (2 * g + 7) * lam_conn + 8 * v * (5 * g + 4),
+                                6 * g * (v + 6) * lam_conn ** 2) * ell)),
+        ("main1_conn2", (main1, main1_conn), True,
+         lambda: (phi, (Fraction(g - 1, 6 * g) * (1 - Fraction(4, lam_conn)) ** 2
+                        + Fraction(2 * (g - 1) * (lam_conn + 2 * g - 4),
+                                   g * (g + 5) * lam_conn ** 2)) * ell)),
+        ("main2_v", (main2,), True,
+         lambda: (phi, Fraction(g * g * (v + 14) - 2 * g * (3 * v + 2) - 7 * v - 10,
+                                2 * g * (7 * g + 5) * (v + 6)) * ell)),
+        ("main2_g", (main2,), True,
+         lambda: (phi, Fraction((g - 1) ** 2, 2 * g * (7 * g + 5)) * ell)),
+        ("main2_conn1", (main2, main2_conn), True,
+         lambda: (phi, Fraction((g - 1) * (v + 6) * lam_conn ** 2
+                                - 8 * v * (g + 2) * lam_conn + 4 * v * (7 * g + 5),
+                                6 * g * (v + 6) * lam_conn ** 2) * ell)),
+        ("main2_conn2", (main2, main2_conn), True,
+         lambda: (phi, (Fraction(g - 1, 6 * g) * (1 - Fraction(4, lam_conn)) ** 2
+                        + Fraction(2 * (g - 1) ** 2, g * (g + 2) * lam_conn ** 2)) * ell)),
+        # the x/y feasible region
+        ("xy_sum", xy_region, True, lambda: (ell, x + y)),
+        ("xy_conn", xy_region, True, lambda: (x, (lam_conn - 1) * y)),
+        ("xy_gy", xy_region, True, lambda: (g * y, x)),
+        ("xy_parabola", xy_region, True,
+         lambda: (y, Fraction(v + 6, 4 * v) * (x + y) ** 2 / ell)),
+        # regular equal-length graphs via the Laplacian trace bound
+        ("lm_regular",
+         ((simple_graph and is_regular and equal_lengths and len(q_values) == 1,
+           "needs a simple regular graph, equal lengths, constant q"),), True,
+         lambda: (phi, Fraction(v ** 3 * (n_reg * n_reg + 2 * n_reg - 14)
+                                - v * v * (16 * n_reg - 68)
+                                + 6 * v * (2 * n_reg - 15) + 36,
+                                6 * n_reg * n_reg * v ** 3) * ell)),
+        # 13x stays below ell + 23y on complete graphs on 4 vertices; this
+        # line bounds the x/y region from the side that pins the genus-3
+        # phi minimum
+        ("beta_13x23y", ((simple_graph and simple_pol and v == 4 and e == 6,
+                          "complete graph on 4 vertices only"),), True,
+         lambda: (ell + 23 * y, 13 * x)),
+    )
 
-    # delta-weighted conjecture bounds (lengths; counts are informational)
-    counts = pg.edge_type_counts()
-    counts_differ = any(Fraction(counts[i]) != delta[i] for i in delta)
-    if gbar >= 2:
-        checks.append(_ok("phi_delta", phi, _phi_delta_sum(gbar, delta, exact)))
-        if counts_differ:
-            checks.append(_ok("phi_delta_count", phi,
-                              _phi_delta_sum(gbar, counts, exact), proved=False))
-    else:
-        checks.append(_na("phi_delta", "needs genus >= 2"))
-
-    checks.append(_ok("lambda_delta", lam, _lambda_delta_sum(gbar, delta)))
-    if counts_differ:
-        checks.append(_ok("lambda_delta_count", lam,
-                          _lambda_delta_sum(gbar, counts), proved=False))
-
-    if bridgeless:
-        checks.append(_ok("lambda_floor", lam, Fraction(gbar, 8 * gbar + 4) * ell))
-    else:
-        checks.append(_na("lambda_floor", "needs bridgeless"))
-
-    # the six phi lower bounds for bridgeless q = 0 graphs
-    if bridgeless and simple_pol:
-        checks.append(_ok("phi_i", phi,
-                          Fraction(2 * g + 1, g) * tau - ell / (4 * g)))
-        checks.append(_ok("phi_ii", phi,
-                          Fraction(g - 1, 12 * g * (g + 1)) * ell))
-        checks.append(_ok("phi_iii", phi,
-                          Fraction(4 * e - 5 * v, 4 * g * (v + 6)) * ell))
-        checks.append(_ok("phi_iv", phi,
-                          Fraction(g - 1, 4 * g * (g + 2)) * ell))
-        if equal_lengths and min_val >= 3:
-            checks.append(_ok(
-                "phi_v", phi,
-                Fraction((2 * g + 1) * g * g * v + 6 * (2 * g + 1) * (v - 1) ** 2
-                         - 3 * e * e * v, 12 * g * v * e * e) * ell))
-        else:
-            checks.append(_na("phi_v", "needs equal lengths and valence >= 3"))
-        if lam_conn >= 4:
-            one_m = (1 - Fraction(4, lam_conn)) ** 2
-            checks.append(_ok(
-                "phi_vi", phi,
-                Fraction(2 * g + 1, 12 * g) * one_m * ell
-                + Fraction(4 * (2 * g + 1) * (lam_conn - 2),
-                           g * (v + 6) * lam_conn ** 2) * ell
-                - ell / (4 * g)))
-        else:
-            checks.append(_na("phi_vi", "needs edge connectivity >= 4"))
-    else:
-        reason = "needs bridgeless and q = 0"
-        checks.extend(_na(n, reason) for n in
-                      ("phi_i", "phi_ii", "phi_iii", "phi_iv", "phi_v", "phi_vi"))
-
-    # the two main phi bounds with their connectivity-improved variants
-    if bridgeless and simple_pol and v >= 3 and min_val >= 4:
-        checks.append(_ok(
-            "main1_v", phi,
-            Fraction(2 * g * g * (v + 10) - 2 * g * (5 * v + 2) - 19 * v - 16,
-                     4 * g * (5 * g + 4) * (v + 6)) * ell))
-        checks.append(_ok(
-            "main1_g", phi,
-            Fraction((2 * g * g + 10 * g - 3) * (g - 1),
-                     4 * g * (g + 5) * (5 * g + 4)) * ell))
-        if lam_conn * (2 * g + 7) >= 4 * (5 * g + 4):
-            checks.append(_ok(
-                "main1_conn1", phi,
-                Fraction((g - 1) * lam_conn ** 2 * (v + 6)
-                         - 4 * v * (2 * g + 7) * lam_conn + 8 * v * (5 * g + 4),
-                         6 * g * (v + 6) * lam_conn ** 2) * ell))
-            checks.append(_ok(
-                "main1_conn2", phi,
-                (Fraction(g - 1, 6 * g) * (1 - Fraction(4, lam_conn)) ** 2
-                 + Fraction(2 * (g - 1) * (lam_conn + 2 * g - 4),
-                            g * (g + 5) * lam_conn ** 2)) * ell))
-        else:
-            checks.append(_na("main1_conn1", "edge connectivity below threshold"))
-            checks.append(_na("main1_conn2", "edge connectivity below threshold"))
-    else:
-        reason = "needs bridgeless, q = 0, >= 3 vertices and valence >= 4"
-        checks.extend(_na(n, reason) for n in
-                      ("main1_v", "main1_g", "main1_conn1", "main1_conn2"))
-
-    if bridgeless and simple_pol and v >= 3 and min_val >= 3:
-        checks.append(_ok(
-            "main2_v", phi,
-            Fraction(g * g * (v + 14) - 2 * g * (3 * v + 2) - 7 * v - 10,
-                     2 * g * (7 * g + 5) * (v + 6)) * ell))
-        checks.append(_ok(
-            "main2_g", phi,
-            Fraction((g - 1) ** 2, 2 * g * (7 * g + 5)) * ell))
-        if lam_conn * (g + 2) >= 7 * g + 5:
-            checks.append(_ok(
-                "main2_conn1", phi,
-                Fraction((g - 1) * (v + 6) * lam_conn ** 2
-                         - 8 * v * (g + 2) * lam_conn + 4 * v * (7 * g + 5),
-                         6 * g * (v + 6) * lam_conn ** 2) * ell))
-            checks.append(_ok(
-                "main2_conn2", phi,
-                (Fraction(g - 1, 6 * g) * (1 - Fraction(4, lam_conn)) ** 2
-                 + Fraction(2 * (g - 1) ** 2, g * (g + 2) * lam_conn ** 2)) * ell))
-        else:
-            checks.append(_na("main2_conn1", "edge connectivity below threshold"))
-            checks.append(_na("main2_conn2", "edge connectivity below threshold"))
-    else:
-        reason = "needs bridgeless, q = 0, >= 3 vertices and valence >= 3"
-        checks.extend(_na(n, reason) for n in
-                      ("main2_v", "main2_g", "main2_conn1", "main2_conn2"))
-
-    # the x/y feasible region
-    if bridgeless and e > 0:
-        checks.append(_ok("xy_sum", ell, x + y))
-        checks.append(_ok("xy_conn", x, (lam_conn - 1) * y))
-        checks.append(_ok("xy_gy", g * y, x))
-        checks.append(_ok("xy_parabola", y,
-                          Fraction(v + 6, 4 * v) * (x + y) ** 2 / ell))
-    else:
-        reason = "needs bridgeless" if e else "needs at least one edge"
-        checks.extend(_na(n, reason) for n in
-                      ("xy_sum", "xy_conn", "xy_gy", "xy_parabola"))
-
-    # regular equal-length graphs via the Laplacian trace bound
-    if (simple_graph and is_regular and equal_lengths
-            and len(q_values) == 1):
-        n_reg = regular_n
-        checks.append(_ok(
-            "lm_regular", phi,
-            Fraction(v ** 3 * (n_reg * n_reg + 2 * n_reg - 14)
-                     - v * v * (16 * n_reg - 68) + 6 * v * (2 * n_reg - 15) + 36,
-                     6 * n_reg * n_reg * v ** 3) * ell))
-    else:
-        checks.append(_na("lm_regular",
-                          "needs a simple regular graph, equal lengths, constant q"))
-
-    # 13x stays below ell + 23y on complete graphs on 4 vertices; this line
-    # bounds the x/y region from the side that pins the genus-3 phi minimum
-    if simple_graph and simple_pol and v == 4 and e == 6:
-        checks.append(_ok("beta_13x23y", ell + 23 * y, 13 * x))
-    else:
-        checks.append(_na("beta_13x23y", "complete graph on 4 vertices only"))
-
+    checks: list[BoundCheck] = []
+    for name, rules, proved, sides in table:
+        failed = [why for holds, why in rules if not holds]
+        if not failed:
+            lhs, rhs = sides()
+            margin = lhs - rhs
+            checks.append(BoundCheck(name, True, None, lhs, rhs, margin,
+                                     bool(margin >= 0), proved))
+        elif failed[0] is not None:
+            checks.append(BoundCheck(name, False, failed[0], proved=proved))
     return checks
 
 
