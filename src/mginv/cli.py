@@ -54,12 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="invariant report for a graph file")
     _common_flags(p)
+    p.add_argument("--out", type=Path, help="write output here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="run every identity, cross-formula "
                                       "agreement and proved bound; exit 1 on failure")
     _common_flags(p)
+    p.add_argument("--out", type=Path, help="write output here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("family", help="compare a family generator against "
@@ -100,7 +102,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, type=Path, help="graph JSON file")
     p.add_argument("--backend", choices=(RATIONAL, FLOAT), default=RATIONAL)
     p.add_argument("--decimals", type=int, help="render scalars as N-place decimals")
-    p.add_argument("--out", type=Path, help="write output here instead of stdout")
 
 
 def _error(kind: str, message: str) -> None:
@@ -120,7 +121,7 @@ def _load(args) -> tuple[PMGraph, PMGraph]:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
@@ -164,7 +165,7 @@ def _cmd_verify(args) -> int:
         good = residual == 0 if exact else abs(float(residual)) <= REL_TOL * scale
         ok &= good
         results.append({"check": f"identity:{name}", "ok": good,
-                        "residual": format_scalar(residual)})
+                        "residual": format_scalar(residual, args.decimals)})
     if exact:
         # the L+ the report computed for the laplacian tau route
         net = network.network_for(pg.graph.normalized())
@@ -177,7 +178,7 @@ def _cmd_verify(args) -> int:
             continue
         ok &= c.satisfied
         results.append({"check": f"bound:{c.name}", "ok": c.satisfied,
-                        "margin": format_scalar(c.margin)})
+                        "margin": format_scalar(c.margin, args.decimals)})
     _emit(args, json.dumps({"ok": ok, "checks": results}, indent=2) + "\n")
     return 0 if ok else 1
 

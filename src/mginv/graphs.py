@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import (FLOAT, RATIONAL, Scalar, ScalarError, backend_of,
-                      format_scalar, parse_scalar)
+                      format_scalar, parse_scalar, zero)
 
 
 class GraphError(ValueError):
@@ -131,7 +131,7 @@ class MetrizedGraph:
 
     @cached_property
     def _total_length(self) -> Scalar:
-        total = Fraction(0)
+        total = zero(self.backend)
         for e in self.edges:
             total = total + e.length
         return total
@@ -181,12 +181,12 @@ class MetrizedGraph:
         e = self._edge(i)
         rest = self.edges[:i] + self.edges[i + 1:]
         if _connected(self.vertices, rest):
-            return MetrizedGraph(self.vertices, rest)
+            return self._like(self.vertices, rest)
         side_u = _component_of(e.u, self.vertices, rest)
         part_u = tuple(p for p in self.vertices if p in side_u)
         part_v = tuple(p for p in self.vertices if p not in side_u)
-        comp_u = MetrizedGraph(part_u, tuple(f for f in rest if f.u in side_u))
-        comp_v = MetrizedGraph(part_v, tuple(f for f in rest if f.u not in side_u))
+        comp_u = self._like(part_u, tuple(f for f in rest if f.u in side_u))
+        comp_v = self._like(part_v, tuple(f for f in rest if f.u not in side_u))
         return (comp_u, comp_v)
 
     def contract_edge(self, i: int) -> "MetrizedGraph":
@@ -199,7 +199,7 @@ class MetrizedGraph:
         e = self._edge(i)
         rest = self.edges[:i] + self.edges[i + 1:]
         if e.is_loop:
-            return MetrizedGraph(self.vertices, rest)
+            return self._like(self.vertices, rest)
         keep, gone = e.u, e.v
         verts = tuple(p for p in self.vertices if p != gone)
 
@@ -207,7 +207,7 @@ class MetrizedGraph:
             return keep if p == gone else p
 
         edges = tuple(Edge(ren(f.u), ren(f.v), f.length) for f in rest)
-        return MetrizedGraph(verts, edges)
+        return self._like(verts, edges)
 
     def subdivide_edge(self, i: int, pieces: int = 2) -> "MetrizedGraph":
         """Split edge ``i`` into ``pieces`` equal segments through fresh
@@ -216,8 +216,8 @@ class MetrizedGraph:
         if pieces < 2:
             raise GraphError("need at least two pieces")
         mids, arcs = _split(e, i, pieces, set(self.vertices))
-        return MetrizedGraph(self.vertices + tuple(mids),
-                             self.edges[:i] + tuple(arcs) + self.edges[i + 1:])
+        return self._like(self.vertices + tuple(mids),
+                          self.edges[:i] + tuple(arcs) + self.edges[i + 1:])
 
     def normalized(self) -> "MetrizedGraph":
         """Equivalent graph (same metric space) with no self-loops and no
@@ -248,13 +248,13 @@ class MetrizedGraph:
             mids, arcs = _split(e, i, pieces, taken)
             verts.extend(mids)
             out_edges.extend(arcs)
-        return MetrizedGraph(tuple(verts), tuple(out_edges))
+        return self._like(tuple(verts), tuple(out_edges))
 
     def scaled(self, t) -> "MetrizedGraph":
         if not t > 0:
             raise GraphError(f"scale factor must be positive, got {t}")
-        return MetrizedGraph(self.vertices,
-                             tuple(Edge(e.u, e.v, e.length * t) for e in self.edges))
+        return self._like(self.vertices,
+                          tuple(Edge(e.u, e.v, e.length * t) for e in self.edges))
 
     def as_float(self) -> "MetrizedGraph":
         """The same graph on the float backend; a length beyond float range
@@ -263,6 +263,15 @@ class MetrizedGraph:
             Edge(e.u, e.v, parse_scalar(e.length, FLOAT)) for e in self.edges))
         # an edgeless graph has no length to infer the backend from
         vars(g)["backend"] = FLOAT
+        return g
+
+    def _like(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "MetrizedGraph":
+        """A graph derived from this one. Every transformation builds its
+        result here: a result with no edge has no length to infer the
+        backend from, and keeps this graph's."""
+        g = MetrizedGraph(vertices, edges)
+        if not edges:
+            vars(g)["backend"] = self.backend
         return g
 
     def _edge(self, i: int) -> Edge:
@@ -294,7 +303,7 @@ def one_point_join(g1: MetrizedGraph, p1: str,
         used.add(name)
     verts = g1.vertices + tuple(ren[p] for p in g2.vertices if p != p2)
     edges = g1.edges + tuple(Edge(ren[e.u], ren[e.v], e.length) for e in g2.edges)
-    return MetrizedGraph(verts, edges)
+    return g1._like(verts, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +418,7 @@ class PMGraph:
             edges.insert(min(i1, i2), merged)
             verts.remove(w)
             del q[w]
-        g = MetrizedGraph.build(verts, edges)
+        g = self.graph._like(tuple(verts), tuple(Edge(*e) for e in edges))
         return PMGraph.of(g, q)
 
     def attach_loops(self, eps) -> "PMGraph":
@@ -424,7 +433,7 @@ class PMGraph:
         for p, qv in self.polarization:
             for _ in range(qv):
                 edges.append(Edge(p, p, eps))
-        g = MetrizedGraph(self.graph.vertices, tuple(edges))
+        g = self.graph._like(self.graph.vertices, tuple(edges))
         return PMGraph.of(g, {})
 
     # -- edge typing -------------------------------------------------------
@@ -446,7 +455,8 @@ class PMGraph:
         gbar = self.pm_genus()
         bridges = self.graph.structure.bridges
         types = []
-        delta: dict[int, Scalar] = {i: Fraction(0) for i in range(gbar // 2 + 1)}
+        delta: dict[int, Scalar] = {i: zero(self.graph.backend)
+                                    for i in range(gbar // 2 + 1)}
         for i, e in enumerate(self.graph.edges):
             if i not in bridges:
                 t = 0

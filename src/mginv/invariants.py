@@ -52,7 +52,7 @@ from math import isfinite
 
 from .graphs import GraphError, MetrizedGraph, PMGraph, _read_only
 from .network import Network, network_for
-from .scalars import RATIONAL, REL_TOL, Scalar, agree, format_scalar
+from .scalars import RATIONAL, REL_TOL, Scalar, agree, format_scalar, zero
 
 TAU_METHODS = ("edges", "laplacian", "crossterm", "contraction")
 THETA_METHODS = ("definition", "second", "third", "fourth")
@@ -188,7 +188,7 @@ def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
     lp, den = net.pd
     div = net.div
     row_p = lp[net.graph.vertex_index[p]]
-    t = x = y = Fraction(0)
+    t = x = y = zero(net.graph.backend)
     for a, b, iu, iv, d_u, d_v, rho_uv, k in net.pd_edges:
         d_p = row_p[iu] - row_p[iv]
         big_e = den * k

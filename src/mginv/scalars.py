@@ -9,8 +9,8 @@ they meet a float, so a single implementation serves both backends.
 
 ``Surd79`` extends the rational backend with numbers of the form
 ``a + b*sqrt(79)``, which appear in the genus-3 lower-bound constant. Its
-comparisons are decided by exact sign analysis of ``a**2 - 79*b**2``, never
-by floating point.
+comparisons are decided by the exact sign of ``a*|a| + 79*b*|b|``, never by
+floating point.
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ def format_scalar(x, decimals: int | None = None) -> str:
     if isinstance(x, Fraction):
         return str(x)
     return repr(x)
+
+
+def zero(backend: str) -> Scalar:
+    """The backend's own zero, where its sums start: an empty sum keeps the
+    backend's type, and a float sum over floats is the same bit for bit."""
+    return 0.0 if backend == FLOAT else Fraction(0)
 
 
 def backend_of(values) -> str:
@@ -147,26 +153,12 @@ class Surd79:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        """Exact sign of ``a + b*sqrt(79)``; sqrt(79) is irrational, so zero
-        occurs only at a == b == 0."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against 79 b^2
-        lhs, rhs = a * a, 79 * b * b
-        if a > 0:  # b < 0
-            if lhs == rhs:
-                return 0
-            return 1 if lhs > rhs else -1
-        if lhs == rhs:
-            return 0
-        return -1 if lhs > rhs else 1
+        """Exact sign of ``a + b*sqrt(79)``, the sign of a|a| + 79 b|b|:
+        x -> x|x| is increasing, so a > -b sqrt(79) exactly when
+        a|a| > -79 b|b|. sqrt(79) is irrational, so zero occurs only at
+        a == b == 0."""
+        s = self.a * abs(self.a) + 79 * self.b * abs(self.b)
+        return (s > 0) - (s < 0)
 
     def _cmp(self, other):
         o = self._coerce(other)

@@ -76,7 +76,15 @@ class TestCompute:
         path.write_text('{"vertices": [{"id": "p", "q": 1}], "edges": []}')
         code, out, _ = run(capsys, "compute", "--graph", str(path), "--backend", backend)
         assert code == 0
-        assert json.loads(out)["backend"] == backend
+        report = json.loads(out)
+        assert report["backend"] == backend
+        # every zero is the backend's own: "0" on rationals, "0.0" on floats
+        zero = "0.0" if backend == "float" else "0"
+        scalars = [report[k] for k in ("ell", "tau", "theta", "epsilon", "a",
+                                       "phi", "lambda", "x", "y")]
+        for key in ("delta", "tau_methods", "theta_methods"):
+            scalars += report[key].values()
+        assert scalars and set(scalars) == {zero}
         code, out, _ = run(capsys, "verify", "--graph", str(path), "--backend", backend)
         assert code == 0 and json.loads(out)["ok"] is True
 
@@ -139,6 +147,26 @@ class TestVerify:
         assert "moore_penrose" in names
         assert "identity:genus_identity" in names
         assert any(n.startswith("bound:") for n in names)
+
+    def test_verify_decimals(self, tmp_path, capsys):
+        # --decimals renders residuals and margins as fixed-point decimals;
+        # without it they stay exact (genus 5: no sqrt(79) margin)
+        path = tmp_path / "necklace.json"
+        path.write_text(json.dumps(pm_graph_to_json_dict(fam.necklace(4, 2))))
+        code, plain, _ = run(capsys, "verify", "--graph", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "--graph", str(path), "--decimals", "3")
+        assert code == 0 and out != plain
+        exact = json.loads(plain)["checks"]
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks] == [c["check"] for c in exact]
+        rendered = 0
+        for got, want in zip(checks, exact):
+            for key in ("residual", "margin"):
+                if key in want:
+                    assert got[key] == f"{float(Fraction(want[key])):.3f}"
+                    rendered += 1
+        assert rendered > 20
 
     def test_verify_dumbbell(self, tmp_path, capsys):
         # a graph with a bridge still verifies: inapplicable checks are skipped
@@ -407,6 +435,19 @@ class TestExport:
         r = (outdir / "r.csv").read_text().splitlines()
         assert r[1].split(",")[2] == "1/12"
         assert (outdir / "Lplus.csv").exists()
+
+    def test_no_out_option(self, k4_file, tmp_path, capsys):
+        # export writes three files to --outdir and has no --out of its own;
+        # argparse reads "--out" as the prefix of "--outdir", so the
+        # matrices go where it names, never to an ignored path
+        from mginv.cli import _build_parser
+        sub = next(a for a in _build_parser()._actions if a.choices)
+        options = {s for a in sub.choices["export"]._actions for s in a.option_strings}
+        assert "--out" not in options and "--outdir" in options
+        target = tmp_path / "mats"
+        code, out, _ = run(capsys, "export", "--graph", str(k4_file), "--out", str(target))
+        assert code == 0 and out == ""
+        assert sorted(p.name for p in target.iterdir()) == ["L.csv", "Lplus.csv", "r.csv"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))

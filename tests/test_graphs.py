@@ -182,7 +182,8 @@ class TestGenusLengthValence:
             derived += [h.contract_edge(i) for h in derived[:3]
                         for i in range(h.num_edges)]
             for h in derived:
-                total = F(0)
+                # a sum starts from the backend's own zero
+                total = 0.0 if h.backend == "float" else F(0)
                 for e in h.edges:
                     total = total + e.length
                 assert h.total_length() is h.total_length()
@@ -195,6 +196,26 @@ class TestGenusLengthValence:
         assert point.backend == "rational"
         assert point.as_float().backend == "float"
         assert point.as_float().normalized().backend == "float"
+        assert point.as_float().total_length() == 0.0
+        assert type(point.as_float().total_length()) is float
+
+    def test_edgeless_float_scaled_keeps_backend(self):
+        point = PMGraph.of(MetrizedGraph.build(["p"], []), {"p": 1}).as_float()
+        assert point.scaled(2.5).graph.backend == "float"
+        assert point.scaled(F(5, 2)).graph.backend == "float"
+        rational = PMGraph.of(MetrizedGraph.build(["p"], []), {"p": 1})
+        assert rational.scaled(2.5).graph.backend == "rational"
+
+    def test_edgeless_float_suppressed_keeps_backend(self):
+        point = PMGraph.of(MetrizedGraph.build(["p"], []), {"p": 1}).as_float()
+        assert point.suppressed().graph.backend == "float"
+
+    def test_contracted_float_bouquet_keeps_backend(self):
+        # contracting the only loop leaves no edge to infer the backend from
+        h = fam.bouquet([0.5]).graph.contract_edge(0)
+        assert h.num_edges == 0
+        assert h.backend == "float"
+        assert type(h.total_length()) is float
 
     def test_handshake(self, rng):
         from tests.conftest import random_simple_bridgeless

@@ -94,3 +94,25 @@ class TestSurd79:
         assert s >= Fraction(79, 9)
         assert not s >= Fraction(9)
         assert (s - s).sign() == 0
+
+    def test_sign_against_sympy(self):
+        # a grid of small a, b and near-ties a/b close to -sqrt(79): the
+        # convergents of sqrt(79) and the Pell units (80 + 9 sqrt(79))^k,
+        # each nudged by +-1/10^6
+        sympy = pytest.importorskip("sympy")
+        cases = [(Fraction(i, 3), Fraction(j, 2)) for i in range(-12, 13)
+                 for j in range(-6, 7)]
+        near = [(8, 1), (9, 1), (71, 8), (80, 9), (1351, 152)]
+        p, q = 80, 9
+        for _ in range(3):
+            p, q = 80 * p + 711 * q, 9 * p + 80 * q
+            near.append((p, q))
+        for p, q in near:
+            for nudge in (0, Fraction(1, 10**6), -Fraction(1, 10**6)):
+                cases += [(p + nudge, -q), (-p + nudge, q)]
+        root = sympy.sqrt(79)
+        for a, b in cases:
+            a, b = Fraction(a), Fraction(b)
+            exact = (sympy.Rational(a.numerator, a.denominator)
+                     + sympy.Rational(b.numerator, b.denominator) * root)
+            assert Surd79(a, b).sign() == int(sympy.sign(exact)), (a, b)
