@@ -196,8 +196,6 @@ class TestGenusLengthValence:
         assert point.backend == "rational"
         assert point.as_float().backend == "float"
         assert point.as_float().normalized().backend == "float"
-        assert point.as_float().total_length() == 0.0
-        assert type(point.as_float().total_length()) is float
 
     def test_edgeless_float_scaled_keeps_backend(self):
         point = PMGraph.of(MetrizedGraph.build(["p"], []), {"p": 1}).as_float()
