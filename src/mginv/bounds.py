@@ -59,20 +59,23 @@ class BoundCheck(namedtuple("BoundCheck",
     __slots__ = ()
 
 
-def _phi_delta_sum(gbar: int, values, exact: bool) -> Scalar:
-    """t(gbar) values[0] + sum over i >= 1 of 2 i (gbar - i) / gbar values[i]."""
-    total = t_value(gbar, exact) * values[0]
+def _phi_delta_sum(gbar: int, values, t) -> Scalar:
+    """t values[0] + sum over i >= 1 of 2 i (gbar - i) / gbar values[i],
+    with t = t(gbar); zero terms are skipped."""
+    total = t * values[0]
     for i in range(1, gbar // 2 + 1):
-        total = total + Fraction(2 * i * (gbar - i), gbar) * values[i]
+        if values[i]:
+            total = total + Fraction(2 * i * (gbar - i), gbar) * values[i]
     return total
 
 
 def _lambda_delta_sum(gbar: int, values) -> Scalar:
     """gbar/(8 gbar + 4) values[0] + sum over i >= 1 of
-    i (gbar - i) / (2 gbar + 1) values[i]."""
+    i (gbar - i) / (2 gbar + 1) values[i]; zero terms are skipped."""
     total = Fraction(gbar, 8 * gbar + 4) * values[0]
     for i in range(1, gbar // 2 + 1):
-        total = total + Fraction(i * (gbar - i), 2 * gbar + 1) * values[i]
+        if values[i]:
+            total = total + Fraction(i * (gbar - i), 2 * gbar + 1) * values[i]
     return total
 
 
@@ -104,7 +107,8 @@ def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[Boun
     lam_conn = struct.edge_connectivity
     valences = graph.valences
     min_val = min(valences.values())
-    equal_lengths = len({edge.length for edge in graph.edges}) == 1
+    equal_lengths = bool(graph.edges) and all(
+        edge.length == graph.edges[0].length for edge in graph.edges)
     n_reg = valences[graph.vertices[0]]
     is_regular = all(val == n_reg for val in valences.values())
     q_values = {pg.q[p] for p in graph.vertices}
@@ -112,10 +116,8 @@ def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[Boun
     # delta-weighted bounds use lengths; their edge-count forms are
     # informational
     counts = pg.edge_type_counts()
-    counts_differ = any(Fraction(counts[i]) != delta[i] for i in delta)
-
-    def tg():
-        return t_value(gbar, exact)
+    counts_differ = any(counts[i] != delta[i] for i in delta)
+    t = t_value(gbar, exact) if gbar >= 2 else None
 
     # the rules several rows share
     bridgeless_g2 = (bridgeless and gbar >= 2, "needs bridgeless and genus >= 2")
@@ -139,15 +141,15 @@ def bound_suite(pg: PMGraph, report: InvariantReport | None = None) -> list[Boun
         ("zhang_conj_lhs", (irreducible_g2,), True,
          lambda: (eps, Fraction(gbar - 1, gbar + 1) * (ell - 4 * gbar * a))),
         ("zhang_conj_rhs", (irreducible_g2,), True,
-         lambda: (12 * gbar * a - (1 + 4 * tg()) * ell, eps)),
-        ("phi_t", (irreducible_g2,), True, lambda: (phi, tg() * ell)),
+         lambda: (12 * gbar * a - (1 + 4 * t) * ell, eps)),
+        ("phi_t", (irreducible_g2,), True, lambda: (phi, t * ell)),
         ("phi_t3_weak", (irreducible_g2, (gbar == 3, "genus-3 only")), True,
          lambda: (phi, ell / 30)),
         # delta-weighted conjecture bounds
         ("phi_delta", ((gbar >= 2, "needs genus >= 2"),), True,
-         lambda: (phi, _phi_delta_sum(gbar, delta, exact))),
+         lambda: (phi, _phi_delta_sum(gbar, delta, t))),
         ("phi_delta_count", ((gbar >= 2, None), counts_listed), False,
-         lambda: (phi, _phi_delta_sum(gbar, counts, exact))),
+         lambda: (phi, _phi_delta_sum(gbar, counts, t))),
         ("lambda_delta", (), True, lambda: (lam, _lambda_delta_sum(gbar, delta))),
         ("lambda_delta_count", (counts_listed,), False,
          lambda: (lam, _lambda_delta_sum(gbar, counts))),
@@ -263,7 +265,7 @@ def effective_bogomolov_r0(components: list[PMGraph], gbar: int,
         _, delta = pg.edge_types()
         for i, val in delta.items():
             total[i] = total[i] + val
-    weighted = _phi_delta_sum(gbar, total, exact)
+    weighted = _phi_delta_sum(gbar, total, t_value(gbar, exact))
     r0 = Fraction(2 * (gbar - 1) ** 2, 2 * gbar + 1) * weighted
     # a product, not a quotient: at gbar = 3 ``weighted`` is a Surd79
     a_d = Fraction(1, 2 * (2 * gbar + 1)) * weighted

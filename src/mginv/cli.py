@@ -47,25 +47,28 @@ def main(argv=None) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
+    # allow_abbrev off on every parser: a prefix of a long option is an
+    # error, never another option (``export --out`` is not ``--outdir``)
     parser = argparse.ArgumentParser(
-        prog="mginv",
+        prog="mginv", allow_abbrev=False,
         description="invariants and inequality checks for polarized metrized graphs")
-    sub = parser.add_subparsers(required=True)
+    add = functools.partial(parser.add_subparsers(required=True).add_parser,
+                            allow_abbrev=False)
 
-    p = sub.add_parser("compute", help="invariant report for a graph file")
+    p = add("compute", help="invariant report for a graph file")
     _common_flags(p)
     p.add_argument("--out", type=Path, help="write output here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("verify", help="run every identity, cross-formula "
-                                      "agreement and proved bound; exit 1 on failure")
+    p = add("verify", help="run every identity, cross-formula "
+                           "agreement and proved bound; exit 1 on failure")
     _common_flags(p)
     p.add_argument("--out", type=Path, help="write output here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("family", help="compare a family generator against "
-                                      "its closed-form reference values")
+    p = add("family", help="compare a family generator against "
+                           "its closed-form reference values")
     p.add_argument("--kind", required=True, choices=FAMILY_KINDS)
     p.add_argument("--v", type=int, help="vertex count")
     p.add_argument("--n", type=int, help="edge multiplicity (necklace)")
@@ -77,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("search", help="seeded random scan of the bound suite")
+    p = add("search", help="seeded random scan of the bound suite")
     p.add_argument("--genus", default="2:4", help="MIN[:MAX] pm-genus range")
     p.add_argument("--vertices", default="3:7", help="MIN[:MAX] vertex range")
     p.add_argument("--edges", default="4:10", help="MIN[:MAX] edge range")
@@ -90,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("export", help="dump Laplacian, pseudo-inverse and "
-                                      "resistance matrices as CSV")
+    p = add("export", help="dump Laplacian, pseudo-inverse and "
+                           "resistance matrices as CSV")
     _common_flags(p)
     p.add_argument("--outdir", type=Path, help="directory for L.csv, Lplus.csv, r.csv")
     p.set_defaults(func=_cmd_export)

@@ -454,9 +454,14 @@ class PMGraph:
     def _edge_types(self) -> tuple[tuple[int, ...], dict[int, Scalar]]:
         gbar = self.pm_genus()
         bridges = self.graph.structure.bridges
-        types = []
         delta: dict[int, Scalar] = {i: zero(self.graph.backend)
                                     for i in range(gbar // 2 + 1)}
+        if not bridges:
+            # every edge has type 0; the total length sums the lengths in
+            # the same order from the same zero
+            delta[0] = self.graph.total_length()
+            return (0,) * self.graph.num_edges, delta
+        types = []
         for i, e in enumerate(self.graph.edges):
             if i not in bridges:
                 t = 0
@@ -664,18 +669,20 @@ def _edge_connectivity(g: MetrizedGraph) -> int:
         ia, ib = index[a], index[b]
         cap[ia][ib] += 1
         cap[ib][ia] += 1
-    best = None
+    # no cut is larger than the edges at vertex 0; each flow is capped at
+    # the best cut so far, since only a smaller one can change it
+    best = sum(cap[0])
     for t in range(1, n):
-        flow = _max_flow([row[:] for row in cap], 0, t)
-        if best is None or flow < best:
-            best = flow
+        best = _max_flow([row[:] for row in cap], 0, t, best)
     return best
 
 
-def _max_flow(cap, s, t) -> int:
+def _max_flow(cap, s, t, limit: int) -> int:
+    """The unit-capacity max flow from s to t, or ``limit`` if it is at
+    least that large."""
     n = len(cap)
     flow = 0
-    while True:
+    while flow < limit:
         parent = [-1] * n
         parent[s] = s
         queue = deque([s])
@@ -695,3 +702,4 @@ def _max_flow(cap, s, t) -> int:
             cap[b][a] += 1
             b = a
         flow += 1
+    return flow

@@ -52,7 +52,7 @@ from math import isfinite
 
 from .graphs import GraphError, MetrizedGraph, PMGraph, _read_only
 from .network import Network, network_for
-from .scalars import RATIONAL, REL_TOL, Scalar, agree, format_scalar, zero
+from .scalars import RATIONAL, REL_TOL, Scalar, agree, format_scalar
 
 TAU_METHODS = ("edges", "laplacian", "crossterm", "contraction")
 THETA_METHODS = ("definition", "second", "third", "fourth")
@@ -166,8 +166,9 @@ def _ab_rc_sum(net: Network, p: str) -> Scalar:
 
 @_memoized
 def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
-    """(12 tau, x, y) at base p, in one pass over the edges, one division
-    per summand.
+    """(12 tau, x, y) at base p, in one pass over the edges: each sum is
+    one fraction on integers (``Network.sum_ratios``), one division per
+    summand on floats.
 
     The tau 'edges' route and the x/y split are distinct sums over the same
     circuit data of each deleted edge (R_i and r_a - r_b), so one pass
@@ -186,9 +187,8 @@ def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
     bridge moves them by as little.
     """
     lp, den = net.pd
-    div = net.div
     row_p = lp[net.graph.vertex_index[p]]
-    t = x = y = zero(net.graph.backend)
+    t, x, y = [], [], []
     for a, b, iu, iv, d_u, d_v, rho_uv, k in net.pd_edges:
         d_p = row_p[iu] - row_p[iv]
         big_e = den * k
@@ -197,10 +197,10 @@ def _edge_sums(net: Network, p: str) -> tuple[Scalar, Scalar, Scalar]:
         dn = ((lp[iu][iu] - lp[iv][iv] - 2 * d_p) * k
               + b * ((d_p - d_u) ** 2 - (d_p - d_v) ** 2))
         q = (a * a * den * den) ** 2
-        t = t + div(a * (a * a * big_e * big_e + 3 * b * b * dn * dn), b * q)
-        x = x + div(a * (4 * a * rn * big_e + 3 * b * (rn * rn - dn * dn)), 4 * q)
-        y = y + div(a * b * (rn * rn + 3 * dn * dn), 4 * q)
-    return t, x, y
+        t.append((a * (a * a * big_e * big_e + 3 * b * b * dn * dn), b * q))
+        x.append((a * (4 * a * rn * big_e + 3 * b * (rn * rn - dn * dn)), 4 * q))
+        y.append((a * b * (rn * rn + 3 * dn * dn), 4 * q))
+    return tuple(net.sum_ratios(terms, 1) for terms in (t, x, y))
 
 
 def _contraction_rc_sums(net: Network) -> tuple[Scalar, ...]:

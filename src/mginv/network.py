@@ -6,25 +6,32 @@ Laplacian is assembled and inverted. The Laplacian has off-diagonal entries
 minus the summed conductances 1/L_k of the edges between two vertices and
 zero row sums; self-loops carry no current and are skipped, and parallel
 edges merge their conductances, which leaves every vertex-to-vertex
-resistance unchanged, so any metrized graph is accepted. Its Moore-Penrose
-pseudo-inverse is computed as (L + J/v)^-1 - J/v. On the rational backend,
-L + J/v is scaled by the least common multiple s of v and its denominators
-to an integer matrix, which fraction-free Gauss-Jordan elimination (Bareiss
-1968) inverts in integers as N/d; each entry of L+ is then the one fraction
-(v s N_ij - d) / (v d). On floats, Gauss-Jordan runs with partial pivoting.
+resistance unchanged, so any metrized graph is accepted.
+
+On the rational backend the Moore-Penrose pseudo-inverse L+ comes from the
+Laplacian grounded at vertex 0, built in integers from the lengths a/b and
+never as fractions: with s the least common multiple of the a of the
+non-loop edges, M = s L_r (L without row and column 0) is an integer matrix
+of size v - 1, which fraction-free Gauss-Jordan elimination (Bareiss 1968)
+inverts as N/d. Padding N with a zero row and column at vertex 0 gives G,
+and X = s G / d is a generalized inverse, L X L = L. Since L L+ = L+ L =
+H = I - J/v, L+ = H X H; with c the row sums of G and T their total,
+L+_ij = s (v^2 G_ij - v (c_i + c_j) + T) / (v^2 d). On floats, L+ is
+(L + J/v)^-1 - J/v, inverted by Gauss-Jordan with partial pivoting.
 
 A network keeps L+ as ``Network.pd`` = (P, D), L+ = P / D. On the rational
-backend P is the integer matrix P_ij = v s N_ij - d and D = v d (a
-one-vertex graph has P = [[0]] and D = 1), and only (P, D) is kept: the
-fraction matrices ``lplus`` (P_ij / D) and ``r`` ((P_ii - 2 P_ij + P_jj) / D,
-formed without L+) are derived on first read, so a sum that runs on P / D
-builds neither. On floats P is L+ itself and D = 1.0, and ``lplus`` is kept
-from construction. ``Network.pd_edges`` keeps, once per network, the
-base-free terms of every edge (see there). The invariant formulas read them
-for every sum over deleted-edge circuit data (tau 'edges' and x/y, B_p, A_p,
-sum L_i R_i/(L_i + R_i), the contraction factor and the genus identity), in
-one closed form per sum for both backends; the only step that depends on
-the backend is the division (``Network.div``, ``Network.sum_ratios``). The
+backend P is the integer matrix P_ij = s (v^2 G_ij - v (c_i + c_j) + T) and
+D = v^2 d (a one-vertex graph has P = [[0]] and D = 1), and only (P, D) is
+kept: the fraction matrices ``lplus`` (P_ij / D) and ``r``
+((P_ii - 2 P_ij + P_jj) / D, formed without L+) are derived on first read,
+so a sum that runs on P / D builds neither. On floats P is L+ itself and
+D = 1.0, and ``lplus`` is kept from construction. ``Network.pd_edges``
+keeps, once per network, the base-free terms of every edge (see there).
+The invariant formulas read them for every sum over deleted-edge circuit
+data (tau 'edges' and x/y, B_p, A_p, sum L_i R_i/(L_i + R_i), the
+contraction factor and the genus identity), in one closed form per sum for
+both backends; the only step that depends on the backend is the division
+(``Network.div``, ``Network.sum_ratios``). The
 rational ``contracted`` networks, whose L+ is a rank-one update in
 fractions, have ``pd`` None: their B_p goes through ``circuit``.
 
@@ -45,8 +52,9 @@ edge. Data per (edge, base) pair is not kept: it would make every memoized
 network V times larger.
 
 ``is_moore_penrose`` checks L L+ L = L and L+ L L+ = L+ exactly in
-integers: with L = A/a and L+ = B/b over the lcms of their denominators,
-the identities read A B A = a b A and B A B = a b B.
+integers: with L = A/a and L+ = B/b over the lcms of their denominators
+(``_clear_denominators``), the identities read A B A = a b A and
+B A B = a b B.
 
 ``network_for`` memoizes one ``Network`` per graph and backend: a float
 graph and its rational twin compare and hash equal, so the backend is part
@@ -157,10 +165,10 @@ def matmul(a, b) -> list[list[Scalar]]:
     return out
 
 
-def _clear_denominators(rows, *extra: int) -> tuple[list[list[int]], int]:
+def _clear_denominators(rows) -> tuple[list[list[int]], int]:
     """``(A, a)`` with rows = A / a for a matrix of fractions: a is the lcm
-    of the entries' denominators and of ``extra``."""
-    a = lcm(*extra, *(x.denominator for row in rows for x in row))
+    of the entries' denominators."""
+    a = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (a // x.denominator) for x in row] for row in rows], a
 
 
@@ -194,13 +202,38 @@ def _laplacian_rows(graph: MetrizedGraph) -> list[list[Scalar]]:
     return rows
 
 
-def _invert_shifted(rows):
-    """``invert_matrix`` of the shifted Laplacian L + J/v (scaled on the
-    exact backend), singular exactly when the graph is disconnected."""
+def _invert_laplacian(rows):
+    """``invert_matrix`` of the shifted Laplacian L + J/v or of the scaled
+    grounded one, each singular exactly when the graph is disconnected."""
     try:
         return invert_matrix(rows)
     except GraphError as exc:
         raise GraphError("disconnected input") from exc
+
+
+def _grounded_pd(graph: MetrizedGraph) -> tuple[list[list[int]], int]:
+    """(P, D) with L+ = P / D for a rational graph on v >= 2 vertices, from
+    M = s L_r, the Laplacian grounded at vertex 0 and scaled to integers,
+    built here from the edges (the module docstring derives P and D)."""
+    n = graph.num_vertices
+    index = graph.vertex_index
+    edges = [(index[e.u], index[e.v], e.length) for e in graph.edges if not e.is_loop]
+    s = lcm(*(ln.numerator for _, _, ln in edges))
+    m = [[0] * n for _ in range(n)]
+    for a, b, ln in edges:
+        c = s // ln.numerator * ln.denominator
+        m[a][a] += c
+        m[b][b] += c
+        m[a][b] -= c
+        m[b][a] -= c
+    inv, d = _invert_laplacian([row[1:] for row in m[1:]])
+    g = [[0] * n] + [[0] + row for row in inv]
+    # P_ij = s v^2 G_ij - (w_i + w_j) + s T with w_i = s v c_i
+    w = [s * n * sum(row) for row in g]
+    st = sum(w) // n
+    sv2 = s * n * n
+    num = [[sv2 * x - wi - wj + st for x, wj in zip(row, w)] for row, wi in zip(g, w)]
+    return num, n * n * d
 
 
 class EdgeCircuitData(namedtuple("EdgeCircuitData",
@@ -225,38 +258,33 @@ class Network:
     ``lplus`` is the Moore-Penrose pseudo-inverse of ``laplacian`` (on a
     ``contracted`` network, a generalized inverse with the same resistances)
     and ``r`` the matrix of effective resistances, all aligned with
-    ``graph.vertices``. ``pd`` is ``(P, D)`` with L+ = P / D: P an integer
-    matrix on the rational backend, L+ itself with D = 1.0 on floats, and
-    None on rational ``contracted`` networks. ``div`` is how a sum on
-    (P, D) divides, ``Fraction`` on integers and ``/`` on floats, and
-    ``sum_ratios`` the same for a sum of quotients. ``r``,
-    and on the rational backend ``lplus``, are derived on first read and
-    then kept. ``sums`` holds scalar sums that the invariant formulas derive
-    from the network, keyed by formula and base vertex, so each is computed
-    once per network.
+    ``graph.vertices``. ``pd`` is ``(P, D)`` with L+ = P / D: on the
+    rational backend P is an integer matrix from the inverse of the
+    grounded Laplacian (``_grounded_pd``; no fraction Laplacian is built),
+    on floats P is L+ itself, from the shifted Laplacian L + J/v, with
+    D = 1.0, and ``pd`` is None on rational ``contracted`` networks.
+    ``div`` is how a sum on (P, D) divides, ``Fraction`` on integers and
+    ``/`` on floats, and ``sum_ratios`` the same for a sum of quotients.
+    ``r``, and on the rational backend ``lplus``, are derived on first read
+    and then kept. ``sums`` holds scalar sums that the invariant formulas
+    derive from the network, keyed by formula and base vertex, so each is
+    computed once per network.
     """
 
     def __init__(self, graph: MetrizedGraph):
-        rows = _laplacian_rows(graph)
-        n = len(rows)
+        n = graph.num_vertices
         if graph.backend == FLOAT:
             lplus = [[0.0]]
             if n > 1:
                 jv = Fraction(1, n)
-                inv, _ = _invert_shifted([[x + jv for x in row] for row in rows])
+                inv, _ = _invert_laplacian(
+                    [[x + jv for x in row] for row in _laplacian_rows(graph)])
                 lplus = [[x - jv for x in row] for row in inv]
             self._setup(graph, (lplus, 1.0), lplus)
         elif n == 1:
             self._setup(graph, ([[0]], 1))
         else:
-            # s (L + J/v) is an integer matrix M; with M^-1 = N/d,
-            # L+ = s N/d - 1/v = (v s N - d) / (v d), and N is symmetric
-            scaled, s = _clear_denominators(rows, n)
-            shift = s // n
-            inv, d = _invert_shifted([[x + shift for x in row] for row in scaled])
-            vs = n * s
-            num = [[vs * x - d for x in row] for row in inv]
-            self._setup(graph, (num, n * d))
+            self._setup(graph, _grounded_pd(graph))
 
     def _setup(self, graph: MetrizedGraph, pd: tuple | None,
                lplus: list[list[Scalar]] | None = None) -> None:

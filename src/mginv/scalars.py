@@ -31,8 +31,26 @@ class ScalarError(ValueError):
     """Raised for unparseable or backend-incompatible scalar input."""
 
 
+#: the largest decimal exponent magnitude ``parse_scalar`` accepts, Python's
+#: default limit on the digits of an int converted from or to a string
+MAX_EXPONENT = 4300
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a decimal string such as "1e-99999999" before ``Fraction``
+    expands its power of ten, which takes time and memory linear in the
+    exponent."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+        raise ScalarError(f"exponent of {text[:40]!r} beyond +-{MAX_EXPONENT}")
+
+
 def parse_scalar(value, backend: str = RATIONAL) -> Scalar:
     """Parse a scalar given as ``"a/b"``, a decimal string, an int or a float.
+
+    A decimal string with an exponent beyond +-MAX_EXPONENT is rejected
+    before any arithmetic.
 
     On the rational backend floats are rejected (their binary expansion is
     almost never what the caller meant); pass a string or a Fraction instead.
@@ -41,6 +59,8 @@ def parse_scalar(value, backend: str = RATIONAL) -> Scalar:
         raise ScalarError(f"unknown backend {backend!r}")
     if isinstance(value, bool):
         raise ScalarError(f"not a scalar: {value!r}")
+    if isinstance(value, str):
+        _check_exponent(value)
     if backend == RATIONAL:
         if isinstance(value, float):
             raise ScalarError(
@@ -109,8 +129,8 @@ class Surd79:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if isinstance(a, Fraction) else Fraction(a)
+        self.b = b if isinstance(b, Fraction) else Fraction(b)
 
     def _coerce(self, other):
         if isinstance(other, Surd79):

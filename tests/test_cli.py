@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,28 @@ class TestCompute:
         assert code == 2
         assert "effective" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_huge_exponent_fails_fast(self, tmp_path, capsys, backend):
+        # Fraction("1e-99999999") would expand 10^99999999; the exponent is
+        # rejected first
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": "a"}],
+            "edges": [{"u": "a", "v": "a", "len": "1e-99999999"}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--graph", str(path),
+                             "--backend", backend)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "exponent" in json.loads(err)["error"]["message"]
+
+    def test_no_option_prefixes(self, k4_file, capsys):
+        # "--dec" is not read as "--decimals"
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--graph", str(k4_file), "--dec", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, graph, error", [
         ("compute", {"vertices": 5, "edges": []}, "GraphError"),
@@ -211,8 +234,9 @@ class TestVerify:
         assert sum(c["check"].startswith("identity:") for c in checks) == 5
 
     def test_work_count(self, tmp_path, capsys, monkeypatch):
-        # one inversion per vertex set, and the report is built once and
-        # shared by the identity checks and the bound suite
+        # one inversion per vertex set, of the Laplacian grounded at one
+        # vertex (size v - 1), and the report is built once and shared by
+        # the identity checks and the bound suite
         import mginv.cli as cli
         import mginv.invariants as invariants
         import mginv.network as network
@@ -232,8 +256,8 @@ class TestVerify:
         monkeypatch.setattr(invariants, "invariant_report", counted_report)
         monkeypatch.setattr(cli, "invariant_report", counted_report)
         # K5, and the mixed graph with its 6-vertex normalization
-        for pg, expected in ((fam.complete_equal(5), [5]),
-                             (GOLDEN_GRAPHS["mixed"], [3, 6])):
+        for pg, expected in ((fam.complete_equal(5), [4]),
+                             (GOLDEN_GRAPHS["mixed"], [2, 5])):
             path = tmp_path / "graph.json"
             path.write_text(json.dumps(pm_graph_to_json_dict(pg)))
             network._network.cache_clear()
@@ -438,16 +462,18 @@ class TestExport:
 
     def test_no_out_option(self, k4_file, tmp_path, capsys):
         # export writes three files to --outdir and has no --out of its own;
-        # argparse reads "--out" as the prefix of "--outdir", so the
-        # matrices go where it names, never to an ignored path
+        # "--out" is not taken as a prefix of "--outdir", so it is an error
+        # and nothing is written
         from mginv.cli import _build_parser
         sub = next(a for a in _build_parser()._actions if a.choices)
         options = {s for a in sub.choices["export"]._actions for s in a.option_strings}
         assert "--out" not in options and "--outdir" in options
-        target = tmp_path / "mats"
-        code, out, _ = run(capsys, "export", "--graph", str(k4_file), "--out", str(target))
-        assert code == 0 and out == ""
-        assert sorted(p.name for p in target.iterdir()) == ["L.csv", "Lplus.csv", "r.csv"]
+        target = tmp_path / "m.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--graph", str(k4_file), "--out", str(target)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))

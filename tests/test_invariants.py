@@ -102,11 +102,12 @@ class TestContractionSums:
 
         monkeypatch.setattr(network, "invert_matrix", counted)
         network._network.cache_clear()
+        # the Laplacian grounded at one vertex: size v - 1
         invariant_report(fam.complete_equal(6, F(11, 13)))
-        assert sizes == [6]
+        assert sizes == [5]
         sizes.clear()
         invariant_report(fam.necklace(5, 2, F(11, 13)))  # and its normalization
-        assert sizes == [5, 10]
+        assert sizes == [4, 9]
 
     def test_quick_report_inverts_once(self, monkeypatch):
         # a loop and a parallel pair: theta reads the graph's own network,
@@ -124,7 +125,7 @@ class TestContractionSums:
         pg = PMGraph.of(mixed_graph(), {"c": 1})
         assert not pg.graph.is_simple
         quick_report(pg)
-        assert sizes == [3]
+        assert sizes == [2]  # grounded: v - 1
 
     def test_quick_report_forms_no_fraction_matrix(self):
         # a rational quick_report reads only P / D: neither L+ nor r is

@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 import mginv.families as fam
 from mginv.graphs import GraphError, MetrizedGraph, PMGraph
 from mginv.bounds import SearchConfig, random_pm_graph
-from mginv.network import (Network, _clear_denominators, edge_circuit_data,
-                           invert_matrix, is_moore_penrose, matmul,
-                           network_for, resistance_matrix, resistance_oracle,
-                           voltage)
+from mginv.network import (Network, edge_circuit_data, invert_matrix,
+                           is_moore_penrose, matmul, network_for,
+                           resistance_matrix, resistance_oracle, voltage)
 from tests.conftest import (mixed_graph, random_multigraph,
                             random_simple_bridgeless)
 
@@ -590,10 +590,28 @@ def eager_resistances(lplus):
         lplus[i][i] - 2 * lplus[i][j] + lplus[j][j]))
 
 
+def eager_grounded_pd(graph):
+    """(P, D) of a rational graph on v >= 2 vertices from the Laplacian
+    grounded at vertex 0, by matrix products: M = s L_r is an integer
+    matrix (s the lcm of the numerators of the non-loop lengths), M^-1 =
+    N/d, G is N padded with zeros at vertex 0, and with vH = v I - J,
+    P = s (vH) G (vH) and D = v^2 d, so that P / D = H (s G / d) H."""
+    n = graph.num_vertices
+    rows = eager_laplacian(graph)
+    s = lcm(*(e.length.numerator for e in graph.edges if not e.is_loop))
+    scaled = [[s * x for x in row[1:]] for row in rows[1:]]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    inv, d = invert_matrix([[x.numerator for x in row] for row in scaled])
+    g = [[0] * n] + [[0] + row for row in inv]
+    vh = [[n * (i == j) - 1 for j in range(n)] for i in range(n)]
+    return [[s * x for x in row] for row in matmul(matmul(vh, g), vh)], n * n * d
+
+
 def eager_matrices(graph):
     """(L+, r, (P, D)) formed eagerly on construction, the reference for
-    the matrices a network derives on first read: on rationals every entry
-    of L+ is P_ij / D, on floats P is L+ and D = 1.0, and
+    the matrices a network derives on first read: on rationals L+ comes
+    from (L + J/v)^-1 - J/v and (P, D) from ``eager_grounded_pd``, and
+    every entry of L+ is P_ij / D; on floats P is L+ and D = 1.0; and
     r_ij = L+_ii - 2 L+_ij + L+_jj on both backends."""
     rows = eager_laplacian(graph)
     n = len(rows)
@@ -608,11 +626,12 @@ def eager_matrices(graph):
         lplus = [[F(0)]]
         pd = [[0]], 1
     else:
-        scaled, s = _clear_denominators(rows, n)
-        inv, d = invert_matrix([[x + s // n for x in row] for row in scaled])
-        num = eager_symmetric(n, lambda i, j: n * s * inv[i][j] - d)
-        lplus = eager_symmetric(n, lambda i, j: F(num[i][j], n * d))
-        pd = num, n * d
+        # s (L + J/v) in integers, s the lcm of v and the denominators of L
+        s = lcm(n, *(x.denominator for row in rows for x in row))
+        inv, d = invert_matrix([[(s * x).numerator + s // n for x in row]
+                                for row in rows])
+        lplus = eager_symmetric(n, lambda i, j: F(n * s * inv[i][j] - d, n * d))
+        pd = eager_grounded_pd(graph)
     return lplus, eager_resistances(lplus), pd
 
 
@@ -668,6 +687,23 @@ class TestLazyMatrices:
                 ref_lplus, ref_r = eager_contracted(g, lplus, r, i)
                 same_entries(short.lplus, ref_lplus)
                 same_entries(short.r, ref_r)
+
+    def test_rational_network_builds_no_laplacian_rows(self, rng, monkeypatch):
+        # a rational (P, D) comes from the grounded Laplacian, built in
+        # integers from the lengths; only a float inversion reads the rows
+        import mginv.network as network
+        calls = []
+        rows = network._laplacian_rows
+
+        def counted(graph):
+            calls.append(graph)
+            return rows(graph)
+
+        monkeypatch.setattr(network, "_laplacian_rows", counted)
+        for g in self.graphs(rng):
+            calls.clear()
+            Network(g)
+            assert len(calls) == (g.backend == "float" and g.num_vertices > 1)
 
 
 class TestNetworkCache:

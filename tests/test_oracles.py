@@ -12,6 +12,7 @@ import mginv.families as fam
 from mginv.bounds import SearchConfig, random_pm_graph
 from mginv.graphs import MetrizedGraph
 from mginv.network import network_for
+from tests.conftest import random_multigraph as lazy_multigraph
 
 F = Fraction
 
@@ -41,7 +42,16 @@ def sample_graphs():
     return graphs
 
 
+def lazy_multigraphs():
+    """The twelve random multigraphs of the lazy-matrix tests (parallel
+    edges, a self-loop, a pendant bridge), drawn from the same seed."""
+    rng = random.Random(20240817)
+    return [lazy_multigraph(rng) for _ in range(12)]
+
+
 GRAPHS = sample_graphs()
+#: the edge-connectivity check runs on more multigraphs
+STRUCTURE_GRAPHS = GRAPHS + lazy_multigraphs()
 
 
 def to_networkx(nx, graph: MetrizedGraph, loops: bool = True):
@@ -69,10 +79,10 @@ def test_resistance_matches_networkx(k):
             assert float(net.r[index[p]][index[q]]) == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("k", range(len(GRAPHS)))
+@pytest.mark.parametrize("k", range(len(STRUCTURE_GRAPHS)))
 def test_structure_matches_networkx(k):
     nx = pytest.importorskip("networkx")
-    graph = GRAPHS[k]
+    graph = STRUCTURE_GRAPHS[k]
     if any(e.is_loop for e in graph.edges):
         # a self-loop is cut once for the metric reading of connectivity,
         # which networkx does not do; compare on the loopless part

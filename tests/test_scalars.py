@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mginv.scalars import (FLOAT, RATIONAL, ScalarError, Surd79, agree,
-                           backend_of, format_scalar, parse_scalar)
+from mginv.scalars import (FLOAT, MAX_EXPONENT, RATIONAL, ScalarError, Surd79,
+                           agree, backend_of, format_scalar, parse_scalar)
 
 
 def test_parse_rational_forms():
@@ -37,6 +37,19 @@ def test_parse_float_out_of_range():
         parse_scalar("1e400", FLOAT)
     with pytest.raises(ScalarError):
         parse_scalar(10 ** 400, FLOAT)
+
+
+def test_parse_exponent_limit():
+    # exponents up to MAX_EXPONENT parse; past it the string is rejected
+    # before Fraction expands the power of ten
+    assert MAX_EXPONENT == 4300
+    assert parse_scalar("1e4300") == 10 ** 4300
+    assert parse_scalar("1E-4300") == Fraction(1, 10 ** 4300)
+    assert parse_scalar("1e-4300", FLOAT) == 0.0
+    for text in ("1e4301", "1E-4301", "2.5e+04301", "1e-99999999"):
+        for backend in (RATIONAL, FLOAT):
+            with pytest.raises(ScalarError, match="exponent"):
+                parse_scalar(text, backend)
 
 
 @given(st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000)))
